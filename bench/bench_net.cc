@@ -3,7 +3,9 @@
 // cost, and how does wire-level batching compose with the engine's
 // cross-request fusion?
 //
-// Three measurements over one loopback NetServer:
+// The served model is written as an artifact and registered in a ModelZoo
+// under one key — the one serving path — so every number here is what a
+// deployment serves. Three measurements over one loopback NetServer:
 //  1. In-process baselines: closed-loop async Submit/Wait at batch 1
 //     (`clients` submitter threads — the apples-to-apples twin of the wire
 //     sweep) and sync EstimateBatch at batch 64.
@@ -24,6 +26,8 @@
 //
 // Flags: --conns_sweep=1,4,16 --clients=4 --net_min_seconds=S
 //        --open_load=0.6 --batch_large=64
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -33,10 +37,13 @@
 #include <thread>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "bench/bench_util.h"
+#include "common/latency_histogram.h"
 #include "net/client.h"
 #include "net/net_stats.h"
 #include "net/server.h"
+#include "serve/model_zoo.h"
 #include "serve/serving_engine.h"
 
 namespace duet::bench {
@@ -46,6 +53,9 @@ using Clock = std::chrono::steady_clock;
 using net::NetServer;
 using net::RpcClient;
 using query::Query;
+
+/// The zoo key the benchmark model is served under.
+constexpr const char* kKey = "census";
 
 double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
@@ -67,7 +77,7 @@ WireResult RunWireClosedLoop(uint16_t port, const std::vector<Query>& queries, i
   WireResult result;
   result.conns = conns;
   result.batch = batch;
-  std::vector<net::LatencyHistogram> hists(static_cast<size_t>(conns));
+  std::vector<LatencyHistogram> hists(static_cast<size_t>(conns));
   std::vector<uint64_t> served(static_cast<size_t>(conns), 0);
   std::atomic<bool> failed{false};
   const std::vector<Query> frame(queries.begin(), queries.begin() + batch);
@@ -86,7 +96,7 @@ WireResult RunWireClosedLoop(uint16_t port, const std::vector<Query>& queries, i
       std::vector<serve::Estimate> out;
       while (Clock::now() < stop) {
         const Clock::time_point t0 = Clock::now();
-        if (!client.EstimateBatch("", frame, 0, &out).ok) {
+        if (!client.EstimateBatch(kKey, frame, 0, &out).ok) {
           failed.store(true);
           return;
         }
@@ -103,7 +113,7 @@ WireResult RunWireClosedLoop(uint16_t port, const std::vector<Query>& queries, i
     std::fprintf(stderr, "bench_net: wire run failed (conns=%d batch=%d)\n", conns, batch);
     std::exit(1);
   }
-  net::LatencyHistogram merged;
+  LatencyHistogram merged;
   uint64_t total = 0;
   for (int c = 0; c < conns; ++c) {
     merged.MergeFrom(hists[static_cast<size_t>(c)]);
@@ -131,7 +141,18 @@ int main(int argc, char** argv) {
 
   data::Table table = MakeCensus();
   core::DuetModel model(table, DuetOptionsFor(table));
-  core::DuetEstimator estimator(model);
+  const std::string artifact_path =
+      "/tmp/duet_bench_net_" + std::to_string(::getpid()) + ".duet";
+  {
+    const artifact::ArtifactStatus st =
+        artifact::WriteArtifact(artifact_path, model, tensor::WeightBackend::kDenseF32);
+    if (!st.ok) {
+      std::fprintf(stderr, "bench_net: WriteArtifact failed: %s\n", st.error.c_str());
+      return 1;
+    }
+  }
+  serve::ModelZoo zoo;
+  zoo.Register(kKey, artifact_path);
 
   const query::Workload rand_q = MakeRandQ(table, std::max(batch_large, 256));
   std::vector<Query> queries;
@@ -140,7 +161,7 @@ int main(int argc, char** argv) {
 
   serve::ServingOptions serving;
   serving.max_batch = batch_large;
-  serve::ServingEngine engine(estimator, serving);
+  serve::ServingEngine engine(zoo, serving);
 
   net::NetServerOptions net_options;
   NetServer server(engine, net_options);
@@ -172,7 +193,7 @@ int main(int argc, char** argv) {
       threads.emplace_back([&, c] {
         size_t at = static_cast<size_t>(c);
         while (Clock::now() < stop) {
-          engine.Submit(queries[at % queries.size()]).Wait();
+          engine.Submit(kKey, queries[at % queries.size()]).Wait();
           at += static_cast<size_t>(clients);
           ++served[static_cast<size_t>(c)];
         }
@@ -193,7 +214,7 @@ int main(int argc, char** argv) {
         start + std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double>(min_seconds));
     while (Clock::now() < stop) {
-      engine.EstimateBatch(frame);
+      engine.EstimateBatch(kKey, frame);
       total += static_cast<uint64_t>(batch_large);
     }
     inproc_b64_qps = static_cast<double>(total) / Seconds(start, Clock::now());
@@ -246,7 +267,7 @@ int main(int argc, char** argv) {
     const int conns = clients;
     offered_qps = std::max(offered_qps, 100.0);
     const double per_conn_qps = offered_qps / conns;
-    std::vector<net::LatencyHistogram> hists(static_cast<size_t>(conns));
+    std::vector<LatencyHistogram> hists(static_cast<size_t>(conns));
     std::vector<uint64_t> served(static_cast<size_t>(conns), 0);
     std::atomic<bool> failed{false};
     const Clock::time_point start = Clock::now();
@@ -272,7 +293,7 @@ int main(int argc, char** argv) {
           one[0] = queries[at % queries.size()];
           at += static_cast<size_t>(conns);
           const Clock::time_point t0 = Clock::now();
-          if (!client.EstimateBatch("", one, 0, &out).ok) {
+          if (!client.EstimateBatch(kKey, one, 0, &out).ok) {
             failed.store(true);
             return;
           }
@@ -290,7 +311,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bench_net: open-loop run failed\n");
       return 1;
     }
-    net::LatencyHistogram merged;
+    LatencyHistogram merged;
     uint64_t total = 0;
     for (int c = 0; c < conns; ++c) {
       merged.MergeFrom(hists[static_cast<size_t>(c)]);
@@ -310,6 +331,7 @@ int main(int argc, char** argv) {
 
   const net::NetStats ns = server.stats();
   server.Stop();
+  ::unlink(artifact_path.c_str());
 
   // ---- JSON line (docs/benchmarks.md schema) ---------------------------
   std::string wire_json;

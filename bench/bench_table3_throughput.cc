@@ -8,8 +8,8 @@
 //    1/8/64/512) with the batch-1 encode/forward/post phase split (the
 //    masked-weight cache's target metric),
 //  * a multi-thread serving sweep through serve::ServingEngine (1/2/4/8
-//    workers x the same batch sizes), with a bitwise sharded-vs-single-
-//    thread equality check, and
+//    workers x the same batch sizes) over the model's artifact in a
+//    ModelZoo, with a bitwise zoo-served-vs-in-memory equality check, and
 //  * a packed-weight backend sweep (dense fp32 / CSR sparse / int8 / f16 /
 //    int4), A/B'd over compiled-plan execution (--plan=on,off): batch-1 and
 //    batch-64 queries/sec per (plan, backend) row, the packed-cache and
@@ -28,11 +28,11 @@
 // in docs/benchmarks.md).
 //
 // With --live_update, additionally measures zero-downtime online updates
-// (docs/serving.md): serving through a ModelRegistry-backed engine while a
-// background UpdateWorker fine-tunes on served-traffic feedback and
-// hot-swaps snapshots in — sustained live throughput vs steady state, the
-// publish/swap latencies, update verdict counters, and the median q-error
-// before/after the updates, emitted as a second JSON line
+// (docs/serving.md): serving a zoo key while a background UpdateWorker
+// fine-tunes on served-traffic feedback and its ModelRegistry publishes
+// new artifacts into that key — sustained live throughput vs steady state,
+// the publish/swap latencies, update verdict counters, and the median
+// q-error before/after the updates, emitted as a second JSON line
 // ({"bench":"live_update",...}).
 //
 // With --overload, additionally measures admission control under
@@ -48,19 +48,24 @@
 //        --live_publishes=N --live_min_seconds=S --live_max_seconds=S
 //        --overload --overload_hidden=N --overload_workers=N
 //        --overload_seconds=S
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 
+#include "artifact/artifact.h"
 #include "baselines/traditional/independence.h"
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
 #include "core/finetune.h"
 #include "serve/model_registry.h"
+#include "serve/model_zoo.h"
 #include "serve/serving_engine.h"
 #include "serve/update_worker.h"
 #include "tensor/packed_weights.h"
@@ -68,6 +73,42 @@
 
 namespace duet::bench {
 namespace {
+
+/// The zoo key every served model of this bench is registered under.
+constexpr const char* kKey = "census";
+
+/// A scratch directory for this process's artifacts, removed on scope exit.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& tag)
+      : path_((std::filesystem::temp_directory_path() /
+               ("duet_bench_table3_" + tag + "_" + std::to_string(::getpid())))
+                  .string()) {
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Serves `model` the production way: writes its artifact (dense fp32) as
+/// `dir`/`name`.duet and registers it in `zoo` under kKey. Exits on failure.
+void RegisterModel(const core::DuetModel& model, const ScratchDir& dir, const std::string& name,
+                   serve::ModelZoo& zoo) {
+  const std::string path = dir.path() + "/" + name + ".duet";
+  const artifact::ArtifactStatus st =
+      artifact::WriteArtifact(path, model, tensor::WeightBackend::kDenseF32);
+  if (!st.ok) {
+    std::fprintf(stderr, "WriteArtifact failed: %s\n", st.error.c_str());
+    std::exit(1);
+  }
+  zoo.Register(kKey, path);
+}
 
 struct Row {
   std::string dataset;
@@ -151,8 +192,8 @@ double MeasureBatchedQps(query::CardinalityEstimator& est,
   return static_cast<double>(done) / timer.Seconds();
 }
 
-/// Queries/sec through the sharded serving engine at one batch size (same
-/// chunked protocol as MeasureBatchedQps so numbers are comparable).
+/// Queries/sec through the sharded serving engine on kKey at one batch size
+/// (same chunked protocol as MeasureBatchedQps so numbers are comparable).
 double MeasureServingQps(serve::ServingEngine& engine,
                          const std::vector<query::Query>& queries, int64_t batch,
                          double min_seconds) {
@@ -163,12 +204,12 @@ double MeasureServingQps(serve::ServingEngine& engine,
                         queries.begin() + static_cast<int64_t>(end));
   }
   // Warm-up: populates each worker thread's inference arena.
-  for (const auto& chunk : chunks) engine.EstimateBatch(chunk);
+  for (const auto& chunk : chunks) engine.EstimateBatch(kKey, chunk);
   Timer timer;
   int64_t done = 0;
   do {
     for (const auto& chunk : chunks) {
-      engine.EstimateBatch(chunk);
+      engine.EstimateBatch(kKey, chunk);
       done += static_cast<int64_t>(chunk.size());
     }
   } while (timer.Seconds() < min_seconds);
@@ -181,19 +222,18 @@ double MeasureServingQps(serve::ServingEngine& engine,
 /// fused and unfused arms bitwise-identical — the fusion contract is that
 /// coalescing same-target GEMVs into one GEMM changes throughput, never
 /// values.
-double MeasureAsyncQps(query::CardinalityEstimator& est,
-                       const std::vector<query::Query>& queries, bool fuse,
-                       double min_seconds, std::vector<double>* answers) {
+double MeasureAsyncQps(serve::ModelZoo& zoo, const std::vector<query::Query>& queries,
+                       bool fuse, double min_seconds, std::vector<double>* answers) {
   serve::ServingOptions sopt;
   sopt.num_workers = 2;
   sopt.max_batch = 64;
   sopt.max_wait_us = 200;
   sopt.fuse_requests = fuse;
-  serve::ServingEngine engine(est, sopt);
+  serve::ServingEngine engine(zoo, sopt);
   // Warm-up (populates worker arenas) doubles as the answer capture.
   std::vector<serve::ServingEngine::Future> warm;
   warm.reserve(queries.size());
-  for (const auto& q : queries) warm.push_back(engine.Submit(q));
+  for (const auto& q : queries) warm.push_back(engine.Submit(kKey, q));
   answers->clear();
   answers->reserve(queries.size());
   for (auto& f : warm) answers->push_back(f.Wait());
@@ -202,7 +242,7 @@ double MeasureAsyncQps(query::CardinalityEstimator& est,
   do {
     std::vector<serve::ServingEngine::Future> futures;
     futures.reserve(queries.size());
-    for (const auto& q : queries) futures.push_back(engine.Submit(q));
+    for (const auto& q : queries) futures.push_back(engine.Submit(kKey, q));
     for (auto& f : futures) f.Wait();
     done += static_cast<int64_t>(queries.size());
   } while (timer.Seconds() < min_seconds);
@@ -267,8 +307,12 @@ void RunInferenceSweep(const Flags& flags, double scale) {
               100.0 * phases.post_ms / total_ms);
 
   // Multi-thread serving sweep: the same chunk protocol through the sharded
-  // ServingEngine. Worker threads run tensor ops serially (shard = unit of
-  // parallelism), so speedup here is pure cross-query parallelism.
+  // ServingEngine over the model's artifact. Worker threads run tensor ops
+  // serially (shard = unit of parallelism), so speedup here is pure
+  // cross-query parallelism.
+  const ScratchDir scratch("sweep");
+  serve::ModelZoo zoo;
+  RegisterModel(model, scratch, "model", zoo);
   const std::vector<unsigned> worker_counts = {1, 2, 4, 8};
   // serving_qps[w][b]
   std::vector<std::vector<double>> serving_qps(
@@ -281,10 +325,10 @@ void RunInferenceSweep(const Flags& flags, double scale) {
     serve::ServingOptions sopt;
     sopt.num_workers = worker_counts[w];
     sopt.min_shard = 8;
-    serve::ServingEngine engine(est, sopt);
-    // Determinism check: sharded result must be bitwise equal to the
-    // single-thread batch path.
-    const std::vector<double> sharded = engine.EstimateBatch(queries);
+    serve::ServingEngine engine(zoo, sopt);
+    // Determinism check: the zoo-served sharded result must be bitwise
+    // equal to the in-memory model's single-thread batch path.
+    const std::vector<double> sharded = engine.EstimateBatch(kKey, queries);
     const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
     if (sharded != reference) bitwise_equal = false;
     for (size_t b = 0; b < batch_sizes.size(); ++b) {
@@ -461,12 +505,13 @@ void RunInferenceSweep(const Flags& flags, double scale) {
   // fusion rescues: concurrent singleton requests coalesce into one GEMM
   // that re-reads the packed weights once per group instead of once per
   // query). The two arms must be bitwise identical per request.
-  bmodel.SetInferenceBackend(tensor::WeightBackend::kDenseF32);
+  serve::ModelZoo fusion_zoo;
+  RegisterModel(bmodel, scratch, "fusion", fusion_zoo);  // dense artifact
   std::vector<double> fused_answers, unfused_answers;
-  const double fused_qps = MeasureAsyncQps(best, queries, /*fuse=*/true, min_seconds,
+  const double fused_qps = MeasureAsyncQps(fusion_zoo, queries, /*fuse=*/true, min_seconds,
                                            &fused_answers);
-  const double unfused_qps = MeasureAsyncQps(best, queries, /*fuse=*/false, min_seconds,
-                                             &unfused_answers);
+  const double unfused_qps = MeasureAsyncQps(fusion_zoo, queries, /*fuse=*/false,
+                                             min_seconds, &unfused_answers);
   const bool fusion_bitwise = fused_answers == unfused_answers;
   const double fusion_speedup = unfused_qps > 0.0 ? fused_qps / unfused_qps : 0.0;
   std::printf("\nCross-request fusion A/B (async batch-1 submissions, 2 workers, dense)\n");
@@ -582,9 +627,9 @@ void RunInferenceSweep(const Flags& flags, double scale) {
   std::printf("%s\n", json.c_str());
 }
 
-/// Zero-downtime online-update sweep (--live_update): serve through a
-/// ModelRegistry-backed engine while a background UpdateWorker fine-tunes
-/// on served-traffic feedback and hot-swaps snapshots in. Reports sustained
+/// Zero-downtime online-update sweep (--live_update): serve a zoo key while
+/// a background UpdateWorker fine-tunes on served-traffic feedback and its
+/// ModelRegistry publishes new artifacts into that key. Reports sustained
 /// live throughput against the steady state (the no-quiesce claim is a
 /// measured ratio, not an assertion), the publish/swap latencies, the
 /// update verdict counters and the median q-error before/after.
@@ -620,12 +665,14 @@ void RunLiveUpdateSweep(const Flags& flags, double scale) {
   for (const auto& lq : feedback_wl) serve_queries.push_back(lq.query);
 
   ThreadPool::SetGlobalThreads(1);
-  serve::ModelRegistry registry(std::move(model));  // dense fp32, plans on
+  const ScratchDir scratch("live");
+  serve::ModelZoo zoo;
+  serve::ModelRegistry registry(std::move(model), zoo, kKey, scratch.path());  // dense fp32
   const double qerror_before = core::MedianQError(registry.Current()->model(), eval_wl);
 
   serve::ServingOptions sopt;
   sopt.num_workers = 2;
-  serve::ServingEngine engine(registry, sopt);
+  serve::ServingEngine engine(zoo, sopt);
 
   serve::UpdateWorkerOptions wopt;
   wopt.min_feedback = flags.GetInt("live_min_feedback", 96);
@@ -641,7 +688,7 @@ void RunLiveUpdateSweep(const Flags& flags, double scale) {
   wopt.update.finetune.max_anchor_rows = flags.GetInt("live_anchor_rows", 384);
   serve::UpdateWorker worker(registry, wopt);
 
-  // Steady state: no update worker attached, no feedback flowing. Measured
+  // Steady state: no feedback flowing, so the worker never runs. Measured
   // over a window comparable to the live phase — the ratio below compares
   // two long averages, not a long average against a burst.
   const double min_seconds = flags.GetDouble("sweep_min_seconds", 0.4);
@@ -669,10 +716,9 @@ void RunLiveUpdateSweep(const Flags& flags, double scale) {
     for (int64_t i = 0; i < wopt.min_feedback && feedback_cursor < feedback_wl.size();
          ++i, ++feedback_cursor) {
       const query::LabeledQuery& lq = feedback_wl[feedback_cursor];
-      engine.ReportObserved(lq.query, static_cast<double>(lq.cardinality));
+      worker.AddFeedback(lq.query, static_cast<double>(lq.cardinality));
     }
   };
-  engine.AttachUpdateWorker(&worker);
   worker.Start();
   Timer live_timer;
   int64_t served = 0;
@@ -680,7 +726,7 @@ void RunLiveUpdateSweep(const Flags& flags, double scale) {
   feed_wave();
   for (;;) {
     for (const auto& chunk : chunks) {
-      engine.EstimateBatch(chunk);
+      engine.EstimateBatch(kKey, chunk);
       served += static_cast<int64_t>(chunk.size());
     }
     const serve::UpdateWorkerStats ws = worker.stats();
@@ -705,18 +751,17 @@ void RunLiveUpdateSweep(const Flags& flags, double scale) {
   const double live_seconds = live_timer.Seconds();
   const double live_qps = static_cast<double>(served) / live_seconds;
   worker.Stop();
-  // The worker (declared after the engine) is destroyed first; detach so
-  // the engine never holds a dangling feedback pointer during teardown.
-  engine.AttachUpdateWorker(nullptr);
   ThreadPool::SetGlobalThreads(0);
 
   const serve::UpdateWorkerStats ws = worker.stats();
   const serve::RegistryStats rs = registry.stats();
-  const serve::ServingStats es = engine.stats();
+  serve::ZooModelStats zs;
+  zoo.ModelStats(kKey, &zs);
   const double qerror_after = core::MedianQError(registry.Current()->model(), eval_wl);
   const double ratio = steady_qps > 0.0 ? live_qps / steady_qps : 0.0;
 
-  std::printf("\nLive-update sweep (registry-backed serving, 2x%lld ResMADE, batch %lld)\n",
+  std::printf("\nLive-update sweep (registry publishing into the zoo, 2x%lld ResMADE, "
+              "batch %lld)\n",
               static_cast<long long>(hidden), static_cast<long long>(batch));
   std::printf("steady-state    %14.1f q/s\n", steady_qps);
   std::printf("during updates  %14.1f q/s  (%.1f%% of steady, %.1fs window)\n", live_qps,
@@ -727,14 +772,14 @@ void RunLiveUpdateSweep(const Flags& flags, double scale) {
               static_cast<unsigned long long>(ws.rolled_back),
               static_cast<unsigned long long>(ws.skipped),
               static_cast<unsigned long long>(ws.feedback_received));
-  std::printf("swap latency    %.1f us (pointer swap), %.1f ms publish end-to-end, "
+  std::printf("swap latency    %.1f us (zoo re-register), %.1f ms publish end-to-end, "
               "last round %.2fs\n",
               rs.last_swap_micros, rs.last_publish_micros / 1000.0, ws.last_round_seconds);
   std::printf("median q-error  %.3f -> %.3f on the eval workload (snapshot %llu, "
               "%llu swaps seen by traffic)\n",
               qerror_before, qerror_after,
               static_cast<unsigned long long>(rs.current_id),
-              static_cast<unsigned long long>(es.snapshot_swaps));
+              static_cast<unsigned long long>(zs.republishes));
 
   char buf[640];
   std::snprintf(buf, sizeof(buf),
@@ -750,7 +795,7 @@ void RunLiveUpdateSweep(const Flags& flags, double scale) {
                 static_cast<unsigned long long>(ws.rolled_back),
                 static_cast<unsigned long long>(ws.skipped),
                 static_cast<unsigned long long>(ws.feedback_received),
-                static_cast<unsigned long long>(es.snapshot_swaps), rs.last_swap_micros,
+                static_cast<unsigned long long>(zs.republishes), rs.last_swap_micros,
                 rs.last_publish_micros, ws.last_round_seconds, qerror_before, qerror_after);
   std::printf("%s\n", buf);
 }
@@ -772,8 +817,10 @@ void RunOverloadSweep(const Flags& flags, double scale) {
   opt.hidden_sizes = {hidden, hidden};
   opt.residual = true;
   core::DuetModel model(t, opt);
-  core::DuetEstimator est(model);
   baselines::IndependenceEstimator fallback(t);
+  const ScratchDir scratch("overload");
+  serve::ModelZoo zoo;
+  RegisterModel(model, scratch, "model", zoo);
 
   query::WorkloadSpec spec;
   spec.seed = 1234;
@@ -799,16 +846,16 @@ void RunOverloadSweep(const Flags& flags, double scale) {
     sopt.num_workers = workers;
     sopt.max_batch = max_batch;
     sopt.max_wait_us = 1000;
-    serve::ServingEngine engine(est, sopt);
+    serve::ServingEngine engine(zoo, sopt);
     std::vector<serve::ServingEngine::Future> warm;
-    for (const auto& q : queries) warm.push_back(engine.Submit(q));
+    for (const auto& q : queries) warm.push_back(engine.Submit(kKey, q));
     for (auto& f : warm) f.Wait();
     const int64_t n = 4096;
     std::vector<serve::ServingEngine::Future> futures;
     futures.reserve(static_cast<size_t>(n));
     Timer timer;
     for (int64_t i = 0; i < n; ++i) {
-      futures.push_back(engine.Submit(queries[static_cast<size_t>(i) % queries.size()]));
+      futures.push_back(engine.Submit(kKey, queries[static_cast<size_t>(i) % queries.size()]));
     }
     for (auto& f : futures) f.Wait();
     capacity_qps = static_cast<double>(n) / timer.Seconds();
@@ -831,7 +878,7 @@ void RunOverloadSweep(const Flags& flags, double scale) {
     sopt.max_wait_us = 1000;
     sopt.max_queue = 2 * max_batch;  // bounded: overload must shed, not queue
     sopt.default_deadline_us = deadline_us;
-    serve::ServingEngine engine(est, sopt);
+    serve::ServingEngine engine(zoo, sopt);
     engine.AttachFallback(&fallback);
     // Bound the future backlog so a fast machine cannot blow memory.
     const uint64_t cap = static_cast<uint64_t>(
@@ -845,7 +892,7 @@ void RunOverloadSweep(const Flags& flags, double scale) {
       const auto target = static_cast<uint64_t>(rate * timer.Seconds());
       while (submitted < target && submitted < cap) {
         futures.push_back(
-            engine.Submit(queries[static_cast<size_t>(submitted) % queries.size()]));
+            engine.Submit(kKey, queries[static_cast<size_t>(submitted) % queries.size()]));
         ++submitted;
       }
       std::this_thread::sleep_for(std::chrono::microseconds(200));

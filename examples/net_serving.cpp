@@ -1,22 +1,26 @@
 // A two-node Duet deployment over loopback (docs/networking.md).
 //
-// One process plays three roles. A PRIMARY node trains a Duet model, holds
-// it in a serve::ModelRegistry and serves it through a net::NetServer
+// One process plays three roles. A PRIMARY node trains a Duet model, hands
+// it to a serve::ModelRegistry that publishes it as an artifact into the
+// primary's serve::ModelZoo, and serves that zoo through a net::NetServer
 // speaking the DuetRpc binary protocol. A REPLICA node runs its own
-// NetServer over a serve::ModelZoo and receives the primary's snapshot via
+// NetServer over its own zoo and receives the primary's snapshot via
 // checksummed snapshot replication (net::ReplicateSnapshot) — validate,
-// mmap-load, hot-swap, no quiesce. A CLIENT talks to both nodes with
-// net::RpcClient and measures q-error strictly over the wire.
+// mmap-load, hot-swap, no quiesce. Both nodes run the same engine over the
+// same key. A CLIENT talks to both nodes with net::RpcClient and measures
+// q-error strictly over the wire.
 //
 // The deployment story: the primary's background serve::UpdateWorker
-// fine-tunes on observed cardinalities and hot-swaps an improved snapshot;
+// fine-tunes on observed cardinalities and publishes an improved artifact;
 // one more replication round ships the improvement to the replica. The
-// final table shows before/after median q-error on BOTH nodes, and that
-// primary and replica answers are bitwise-identical at every stage — the
-// replica is a real copy, not an approximation.
+// final table shows before/after median q-error on BOTH nodes, and the
+// example exits nonzero unless primary and replica answers are
+// bitwise-identical at every stage — the replica is a real copy, not an
+// approximation.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <thread>
 #include <unistd.h>
@@ -56,7 +60,7 @@ int main() {
   drift_queries.reserve(drift_wl.size());
   for (const auto& lq : drift_wl) drift_queries.push_back(lq.query);
 
-  // --- Primary node: train -> registry -> engine -> NetServer ---
+  // --- Primary node: train -> registry publishes into a zoo -> engine ---
   core::DuetModelOptions mopt;
   mopt.hidden_sizes = {64, 64};
   mopt.residual = true;
@@ -68,10 +72,16 @@ int main() {
   topt.lambda = 0.1f;
   core::DuetTrainer(*model, topt).Train();
 
-  serve::ModelRegistry registry(std::move(model));
+  const std::string primary_dir =
+      (std::filesystem::temp_directory_path() /
+       ("duet_example_primary." + std::to_string(::getpid())))
+          .string();
+  std::filesystem::create_directories(primary_dir);
+  serve::ModelZoo primary_zoo;
+  serve::ModelRegistry registry(std::move(model), primary_zoo, "census", primary_dir);
   serve::ServingOptions sopt;
   sopt.num_workers = 2;
-  serve::ServingEngine primary_engine(registry, sopt);
+  serve::ServingEngine primary_engine(primary_zoo, sopt);
   net::NetServer primary(primary_engine);  // ephemeral loopback port
   primary.AttachSnapshotSource(&registry);
   net::WireStatus st = primary.Start();
@@ -91,7 +101,8 @@ int main() {
   }
 
   std::printf("Two-node serving over DuetRpc (loopback)\n");
-  std::printf("  primary  127.0.0.1:%u  (registry, snapshot source)\n", primary.port());
+  std::printf("  primary  127.0.0.1:%u  (zoo fed by the registry, snapshot source)\n",
+              primary.port());
   std::printf("  replica  127.0.0.1:%u  (zoo, replication target)\n\n", replica.port());
 
   // --- Ship snapshot #1 primary -> replica ---
@@ -147,12 +158,13 @@ int main() {
   };
 
   std::vector<serve::Estimate> p_raw, r_raw;
-  const ErrorSummary p_before = wire_qerror(to_primary, "", &p_raw);
+  const ErrorSummary p_before = wire_qerror(to_primary, "census", &p_raw);
   const ErrorSummary r_before = wire_qerror(to_replica, "census", &r_raw);
+  const bool equal_before = bitwise_equal(p_raw, r_raw);
   std::printf("drifted workload, snapshot #1 (over the wire):\n");
   std::printf("  primary  median %.2f  p99 %.2f\n", p_before.median, p_before.p99);
   std::printf("  replica  median %.2f  p99 %.2f   bitwise equal to primary: %s\n\n",
-              r_before.median, r_before.p99, bitwise_equal(p_raw, r_raw) ? "yes" : "NO");
+              r_before.median, r_before.p99, equal_before ? "yes" : "NO");
 
   // --- Primary fine-tunes in the background on observed cardinalities ---
   serve::UpdateWorkerOptions wopt;
@@ -163,17 +175,15 @@ int main() {
   wopt.update.max_regression = 1.1;
   serve::UpdateWorker worker(registry, wopt);
   worker.Start();
-  primary_engine.AttachUpdateWorker(&worker);
   for (const auto& lq : drift_wl) {
-    primary_engine.ReportObserved(lq.query, static_cast<double>(lq.cardinality));
+    worker.AddFeedback(lq.query, static_cast<double>(lq.cardinality));
   }
   for (int i = 0; i < 600; ++i) {  // serve while the worker adapts
-    to_primary.EstimateBatch("", drift_queries, 0, &p_raw);
+    to_primary.EstimateBatch("census", drift_queries, 0, &p_raw);
     if (worker.stats().rounds > 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   worker.Stop();
-  primary_engine.AttachUpdateWorker(nullptr);
   const serve::UpdateWorkerStats ws = worker.stats();
   std::printf("update worker: %llu published, %llu rolled back (holdout %.2f -> %.2f)\n",
               static_cast<unsigned long long>(ws.published),
@@ -189,13 +199,14 @@ int main() {
   std::printf("re-replicated snapshot %llu -> replica (hot-swapped, no quiesce)\n\n",
               static_cast<unsigned long long>(registry.stats().current_id));
 
-  const ErrorSummary p_after = wire_qerror(to_primary, "", &p_raw);
+  const ErrorSummary p_after = wire_qerror(to_primary, "census", &p_raw);
   const ErrorSummary r_after = wire_qerror(to_replica, "census", &r_raw);
-  std::printf("drifted workload, snapshot #%llu (over the wire):\n",
+  const bool equal_after = bitwise_equal(p_raw, r_raw);
+  std::printf("drifted workload, snapshot %llu (over the wire):\n",
               static_cast<unsigned long long>(registry.stats().current_id));
   std::printf("  primary  median %.2f -> %.2f\n", p_before.median, p_after.median);
   std::printf("  replica  median %.2f -> %.2f   bitwise equal to primary: %s\n",
-              r_before.median, r_after.median, bitwise_equal(p_raw, r_raw) ? "yes" : "NO");
+              r_before.median, r_after.median, equal_after ? "yes" : "NO");
 
   const net::NetStats ps = primary.stats();
   std::printf("\nprimary wire stats: %llu frames in, %llu queries, %llu snapshot streams "
@@ -218,5 +229,10 @@ int main() {
   primary.Stop();
   ::unlink(replica_path.c_str());
   ::unlink((replica_path + ".fetch").c_str());
+  std::filesystem::remove_all(primary_dir);
+  if (!equal_before || !equal_after) {
+    std::fprintf(stderr, "replica answers diverged from the primary's\n");
+    return 1;
+  }
   return 0;
 }

@@ -3,19 +3,23 @@
 //
 // Duet is trained on a bounded, skewed workload and then serves a drifted
 // random workload — through the zero-downtime serving stack this time:
-// a serve::ModelRegistry holds the model as an immutable snapshot, a
-// serve::ServingEngine dispatches batches against it, and a background
-// serve::UpdateWorker receives the true cardinalities the "execution
-// engine" observes for served queries, fine-tunes a clone on exactly that
-// feedback, validates it on a holdout slice, and hot-swaps the improved
-// snapshot in while traffic keeps flowing. No quiesce anywhere: the
-// before/after median q-error printed at the end is measured on the same
-// engine across a live snapshot swap. (Compare examples/hybrid_finetune.cpp,
+// a serve::ModelRegistry publishes the model as an artifact into a
+// serve::ModelZoo key, a serve::ServingEngine dispatches batches against
+// that key, and a background serve::UpdateWorker receives the true
+// cardinalities the "execution engine" observes for served queries,
+// fine-tunes a clone on exactly that feedback, validates it on a holdout
+// slice, and publishes the improved artifact while traffic keeps flowing.
+// No quiesce anywhere: the before/after median q-error printed at the end
+// is measured on the same engine across a live hot swap. (Compare examples/hybrid_finetune.cpp,
 // the offline collect-then-tune flow this example supersedes for serving;
 // see docs/serving.md for the lifecycle.)
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,6 +29,7 @@
 #include "data/generator.h"
 #include "query/workload.h"
 #include "serve/model_registry.h"
+#include "serve/model_zoo.h"
 #include "serve/serving_engine.h"
 #include "serve/update_worker.h"
 
@@ -51,7 +56,7 @@ int main() {
   drift_queries.reserve(drift_wl.size());
   for (const auto& lq : drift_wl) drift_queries.push_back(lq.query);
 
-  // --- Train, then hand the model to the registry as snapshot #1 ---
+  // --- Train, then hand the model to the registry as version #1 ---
   core::DuetModelOptions mopt;
   mopt.hidden_sizes = {64, 64};
   mopt.residual = true;
@@ -64,10 +69,16 @@ int main() {
   topt.lambda = 0.1f;
   core::DuetTrainer(*duet, topt).Train();
 
-  serve::ModelRegistry registry(std::move(duet));
+  const std::string artifact_dir =
+      (std::filesystem::temp_directory_path() /
+       ("duet_example_drift." + std::to_string(::getpid())))
+          .string();
+  std::filesystem::create_directories(artifact_dir);
+  serve::ModelZoo zoo;
+  serve::ModelRegistry registry(std::move(duet), zoo, "census", artifact_dir);
   serve::ServingOptions sopt;
   sopt.num_workers = 2;
-  serve::ServingEngine engine(registry, sopt);
+  serve::ServingEngine engine(zoo, sopt);
 
   serve::UpdateWorkerOptions wopt;
   wopt.min_feedback = 128;
@@ -77,10 +88,9 @@ int main() {
   wopt.update.max_regression = 1.1;
   serve::UpdateWorker worker(registry, wopt);
   worker.Start();
-  engine.AttachUpdateWorker(&worker);
 
   auto median_qerror_via_engine = [&](uint64_t* snapshot_id) {
-    const std::vector<double> sels = engine.EstimateBatch(drift_queries, snapshot_id);
+    const std::vector<double> sels = engine.EstimateBatch("census", drift_queries, snapshot_id);
     std::vector<double> qerrs;
     qerrs.reserve(sels.size());
     for (size_t i = 0; i < sels.size(); ++i) {
@@ -90,7 +100,7 @@ int main() {
     return ErrorSummary::FromValues(qerrs);
   };
 
-  std::printf("Workload drift, served live (registry + hot swap + background fine-tune)\n\n");
+  std::printf("Workload drift, served live (zoo + registry publish + background fine-tune)\n\n");
   uint64_t snapshot_before = 0;
   const ErrorSummary before = median_qerror_via_engine(&snapshot_before);
   std::printf("drifted workload on snapshot %llu:  median %.2f  p99 %.2f  max %.2f\n",
@@ -100,7 +110,7 @@ int main() {
   // The execution engine "runs" the served queries and reports what it
   // observed; the background worker takes it from there.
   for (const auto& lq : drift_wl) {
-    engine.ReportObserved(lq.query, static_cast<double>(lq.cardinality));
+    worker.AddFeedback(lq.query, static_cast<double>(lq.cardinality));
   }
   std::printf("reported %zu observed cardinalities; serving continues while the "
               "background worker adapts...\n",
@@ -109,15 +119,12 @@ int main() {
   // Keep traffic flowing until the worker has published (or given up) —
   // this loop is the "no quiesce" point: it never stops dispatching.
   for (int i = 0; i < 600; ++i) {
-    engine.EstimateBatch(drift_queries);
+    engine.EstimateBatch("census", drift_queries);
     const serve::UpdateWorkerStats ws = worker.stats();
     if (ws.rounds > 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   worker.Stop();
-  // The worker (declared after the engine) is destroyed first; detach so
-  // the engine never holds a dangling feedback pointer during teardown.
-  engine.AttachUpdateWorker(nullptr);
 
   uint64_t snapshot_after = 0;
   const ErrorSummary after = median_qerror_via_engine(&snapshot_after);
@@ -137,5 +144,6 @@ int main() {
   std::printf("\nExpected: the published snapshot improves (or at least holds) the drifted\n"
               "median while serving never paused; a rolled-back round leaves the serving\n"
               "snapshot — and its estimates — bitwise untouched.\n");
+  std::filesystem::remove_all(artifact_dir);
   return 0;
 }

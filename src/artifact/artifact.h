@@ -103,6 +103,8 @@ class ArtifactModel {
   const nn::InferencePlan& plan() const { return *plan_; }
   /// Bytes of the underlying file mapping (the zoo's eviction cost).
   uint64_t mapped_bytes() const { return map_.size(); }
+  /// The mapped file itself, byte for byte (snapshot replication streams it).
+  const char* mapped_data() const { return map_.data(); }
 
  private:
   friend ArtifactStatus LoadArtifact(const std::string&, const ArtifactLoadOptions&,

@@ -76,23 +76,31 @@ void ThreadPool::WorkerLoop() {
 }
 
 namespace {
-/// Global pool slot; intentionally leaked (workers outlive static dtors).
-ThreadPool*& GlobalSlot() {
-  static ThreadPool* pool = nullptr;
-  return pool;
-}
+/// Global pool slot; the pool is intentionally leaked (workers outlive
+/// static dtors). Readers take the acquire-load fast path; the first use
+/// and SetGlobalThreads construct under the mutex, so concurrent first
+/// callers (e.g. several engine workers entering ParallelForChunked at
+/// once) build exactly one pool and never see a half-constructed one.
+std::atomic<ThreadPool*> g_global_pool{nullptr};
+std::mutex g_global_pool_mu;
 }  // namespace
 
 ThreadPool& ThreadPool::Global() {
-  ThreadPool*& slot = GlobalSlot();
-  if (slot == nullptr) slot = new ThreadPool();
-  return *slot;
+  ThreadPool* pool = g_global_pool.load(std::memory_order_acquire);
+  if (pool != nullptr) return *pool;
+  std::lock_guard<std::mutex> lock(g_global_pool_mu);
+  pool = g_global_pool.load(std::memory_order_relaxed);
+  if (pool == nullptr) {
+    pool = new ThreadPool();
+    g_global_pool.store(pool, std::memory_order_release);
+  }
+  return *pool;
 }
 
 void ThreadPool::SetGlobalThreads(unsigned num_threads) {
-  ThreadPool*& slot = GlobalSlot();
-  delete slot;  // joins the old workers
-  slot = new ThreadPool(num_threads);
+  std::lock_guard<std::mutex> lock(g_global_pool_mu);
+  delete g_global_pool.load(std::memory_order_relaxed);  // joins the old workers
+  g_global_pool.store(new ThreadPool(num_threads), std::memory_order_release);
 }
 
 void ParallelFor(int64_t begin, int64_t end, const std::function<void(int64_t)>& fn,

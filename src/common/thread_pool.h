@@ -50,6 +50,7 @@ class ThreadPool {
   }
 
   /// Process-wide pool (lazily constructed, hardware concurrency).
+  /// Thread-safe, including the first call.
   static ThreadPool& Global();
 
   /// Replaces the global pool with one of `num_threads` workers (0 =

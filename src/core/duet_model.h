@@ -106,10 +106,8 @@ class DuetModel : public nn::Module {
   // lock). The PhaseTimes accumulators are guarded by an internal mutex.
   // Training-side methods and optimizer steps must NOT run concurrently
   // with estimation *on the same instance* — online updates instead train
-  // a clone (core::CloneModel) and publish it as an immutable snapshot
-  // while the served instance keeps estimating (serve/model_registry.h);
-  // training a different instance concurrently is safe, and a frozen
-  // instance's pinned caches ignore the version bumps it causes.
+  // a clone (core::CloneModel) and publish it as a new zoo artifact while
+  // the served artifact keeps estimating (serve/model_registry.h).
 
   /// Algorithm 3 for a single query; deterministic. Returns selectivity in
   /// [0, 1]; queries with an empty predicate range return exactly 0.
@@ -130,16 +128,9 @@ class DuetModel : public nn::Module {
   /// only inference caches are reconfigured — but configure before sharing
   /// the model with serving threads: a switch racing in-flight estimates is
   /// memory-safe yet a racing forward may serve either backend (see
-  /// nn/layers.h; published snapshots are configured once at publish time).
+  /// nn/layers.h).
   void SetInferenceBackend(tensor::WeightBackend backend) const override {
     net_->SetInferenceBackend(backend);
-  }
-
-  /// Declares the parameters permanently frozen and pins the backbone's
-  /// pack/plan caches to `stamp` (snapshot publication; see nn/module.h).
-  /// After this call the model must never be trained again.
-  void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const override {
-    net_->FreezeInferenceCaches(stamp);
   }
 
   /// Bytes currently held by the packed-weight caches including the
@@ -202,9 +193,6 @@ class DuetEstimator : public query::CardinalityEstimator {
   }
   void SetInferenceBackend(tensor::WeightBackend backend) override {
     model_.SetInferenceBackend(backend);
-  }
-  void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) override {
-    model_.FreezeInferenceCaches(stamp);
   }
   uint64_t PackedWeightBytes() const override { return model_.CachedBytes(); }
   void SetPlanEnabled(bool enabled) override { model_.SetPlanEnabled(enabled); }

@@ -90,9 +90,8 @@ std::unique_ptr<DuetModel> CloneModel(const DuetModel& model) {
   // serialized image of the model — a clone transiently costs one model of
   // fresh memory, not two, which is what bounds an update round's peak at
   // zoo scale (UpdateWorkerStats::clone_peak_bytes). CopyParametersFrom
-  // bumps the version counter, which the clone's cold caches key on — the
-  // source's caches are untouched, and a pinned source ignores the bump
-  // entirely.
+  // bumps the version counter, which the clone's cold caches key on; the
+  // source's parameters are only read.
   clone->CopyParametersFrom(model);
   return clone;
 }

@@ -76,9 +76,9 @@ FineTuneReport FineTune(DuetModel& model, const query::Workload& served,
 /// the same architecture options and bitwise-identical parameters (direct
 /// tensor-to-tensor copy via Module::CopyParametersFrom — no serialized
 /// image is materialized, so the round's transient peak is one extra model,
-/// not two) but cold, unpinned inference caches. Safe to call concurrently
-/// with estimation on `model` (it only reads the parameter values); the
-/// clone is mutable and trainable even when `model` is a frozen snapshot.
+/// not two) but cold inference caches. Safe to call concurrently with
+/// estimation on `model` (it only reads the parameter values); the clone is
+/// mutable and trainable even when `model` is a registry's current version.
 std::unique_ptr<DuetModel> CloneModel(const DuetModel& model);
 
 /// Median Q-error of `model` over a labeled workload (one batched forward);

@@ -59,9 +59,6 @@ class DuetMpsnModel : public nn::Module {
   void SetInferenceBackend(tensor::WeightBackend backend) const override {
     made_->SetInferenceBackend(backend);
   }
-  void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const override {
-    made_->FreezeInferenceCaches(stamp);
-  }
   uint64_t CachedBytes() const override { return made_->CachedBytes(); }
   void SetPlanEnabled(bool enabled) const override { made_->SetPlanEnabled(enabled); }
   uint64_t PlanBytes() const override { return made_->PlanBytes(); }
@@ -117,9 +114,6 @@ class DuetMpsnEstimator : public query::CardinalityEstimator {
   }
   void SetInferenceBackend(tensor::WeightBackend backend) override {
     model_.SetInferenceBackend(backend);
-  }
-  void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) override {
-    model_.FreezeInferenceCaches(stamp);
   }
   uint64_t PackedWeightBytes() const override { return model_.CachedBytes(); }
   void SetPlanEnabled(bool enabled) override { model_.SetPlanEnabled(enabled); }

@@ -203,6 +203,17 @@ WireStatus RpcClient::FetchSnapshot(const std::string& dest_path, uint64_t* snap
   if (Fnv1a64(data.data(), data.size()) != stream_checksum) {
     return WireStatus::Fail("snapshot stream checksum mismatch");
   }
+  // The id must name the bytes it shipped with: a stream whose artifact
+  // header carries a different fingerprint is mislabelled, not installable.
+  artifact::ArtifactIndex index;
+  const artifact::ArtifactStatus indexed = artifact::IndexArtifact(
+      data.data(), data.size(), artifact::kDuetArtifactKind, /*verify_payloads=*/false, &index);
+  if (!indexed.ok) {
+    return WireStatus::Fail("shipped snapshot is not an artifact: " + indexed.error);
+  }
+  if (index.fingerprint != shipped_id) {
+    return WireStatus::Fail("shipped snapshot id does not match its artifact fingerprint");
+  }
 
   std::ofstream out(dest_path, std::ios::binary | std::ios::trunc);
   out.write(data.data(), static_cast<std::streamsize>(data.size()));

@@ -59,8 +59,8 @@ class RpcClient {
 
   /// Sends one batched estimate request (all queries in ONE frame — this is
   /// the wire-level batching the server feeds to the micro-batcher) and
-  /// blocks for the response. `model_key` must be empty against
-  /// fixed/registry servers and non-empty against zoo servers;
+  /// blocks for the response. `model_key` names the zoo key that serves
+  /// the frame (an empty key is answered with a clean error);
   /// `deadline_us` 0 = no deadline. A server-side kError frame comes back
   /// as a clean failed status with the connection still usable.
   WireStatus EstimateBatch(const std::string& model_key,
@@ -70,8 +70,9 @@ class RpcClient {
   /// Requests the primary's current snapshot artifact and writes the
   /// received bytes to `dest_path` (truncating). The stream is accepted
   /// only if every frame checksum AND the whole-stream checksum AND the
-  /// byte count all match — a torn/corrupted transfer fails cleanly and
-  /// leaves `dest_path` unwritten. Outputs the shipped snapshot id.
+  /// byte count all match, and the artifact header's fingerprint equals the
+  /// shipped snapshot id — a torn, corrupted or mislabelled transfer fails
+  /// cleanly and leaves `dest_path` unwritten. Outputs the shipped id.
   WireStatus FetchSnapshot(const std::string& dest_path, uint64_t* snapshot_id = nullptr,
                            uint64_t* total_bytes = nullptr);
 

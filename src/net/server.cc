@@ -13,9 +13,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <unordered_map>
 
+#include "common/latency_histogram.h"
 #include "common/serialize.h"
 #include "net/ring_buffer.h"
 #include "serve/fault_injector.h"
@@ -59,12 +59,13 @@ struct NetServer::Connection {
   EstimateRequest request;  ///< reusable decode target
   int64_t inflight = 0;     ///< queries submitted, response not yet encoded
   uint32_t epoll_events = 0;
-  // Active snapshot stream (at most one per connection).
-  bool snap_active = false;
+  // Active snapshot stream (at most one per connection; null = none). The
+  // pinned version's artifact mapping is streamed in place — no copy — and
+  // stays readable even after a publish unlinks its file.
+  std::shared_ptr<const serve::ModelSnapshot> snap;
   uint64_t snap_request_id = 0;
   uint64_t snap_offset = 0;
   uint32_t snap_chunk = 0;
-  std::string snap_bytes;
   Clock::time_point snap_start;
 };
 
@@ -111,11 +112,7 @@ struct NetServer::PendingResponse {
 };
 
 NetServer::NetServer(serve::ServingEngine& engine, NetServerOptions options)
-    : engine_(engine), options_(std::move(options)) {
-  scratch_base_ = options_.snapshot_scratch_path.empty()
-                      ? "/tmp/duet_net_" + std::to_string(::getpid()) + ".artifact"
-                      : options_.snapshot_scratch_path;
-}
+    : engine_(engine), options_(std::move(options)) {}
 
 NetServer::~NetServer() { Stop(); }
 
@@ -463,17 +460,11 @@ NetServer::FrameResult NetServer::HandleEstimateRequest(Loop& loop, Connection& 
     if (n >= 2) ++loop.stats.batched_frames;
   }
 
-  // Key routing: a zoo-backed server needs a model key, a fixed/registry
-  // server must not get one. Mismatch is an application error, not a
-  // protocol error — answer cleanly and keep the connection.
-  const bool keyed = engine_.keyed();
-  if (keyed && req.model_key.empty()) {
-    SendError(loop, conn, header.request_id, "model key required (server is in zoo mode)");
-    return FrameResult::kOk;
-  }
-  if (!keyed && !req.model_key.empty()) {
-    SendError(loop, conn, header.request_id,
-              "unexpected model key '" + req.model_key + "' (server is not in zoo mode)");
+  // Every request names the zoo key that serves it. A missing key is an
+  // application error, not a protocol error — answer cleanly and keep the
+  // connection.
+  if (req.model_key.empty()) {
+    SendError(loop, conn, header.request_id, "model key required");
     return FrameResult::kOk;
   }
 
@@ -527,13 +518,8 @@ NetServer::FrameResult NetServer::HandleEstimateRequest(Loop& loop, Connection& 
       resp->estimates[static_cast<size_t>(i)] = e;
       if (resp->remaining.fetch_sub(1) == 1) PostCompletion(resp);
     };
-    if (keyed) {
-      engine_.SubmitWithCallback(req.model_key, req.queries[static_cast<size_t>(i)],
-                                 deadline_us, std::move(done));
-    } else {
-      engine_.SubmitWithCallback(req.queries[static_cast<size_t>(i)], deadline_us,
-                                 std::move(done));
-    }
+    engine_.SubmitWithCallback(req.model_key, req.queries[static_cast<size_t>(i)],
+                               deadline_us, std::move(done));
   }
   return FrameResult::kOk;
 }
@@ -549,40 +535,24 @@ NetServer::FrameResult NetServer::HandleSnapshotRequest(Loop& loop, Connection& 
     SendError(loop, conn, header.request_id, "no snapshot source attached");
     return FrameResult::kOk;
   }
-  if (conn.snap_active) {
+  if (conn.snap != nullptr) {
     SendError(loop, conn, header.request_id, "snapshot stream already in progress");
     return FrameResult::kOk;
   }
 
-  const Clock::time_point start = Clock::now();
-  const std::string scratch = scratch_base_ + "." + std::to_string(conn.id);
-  artifact::ArtifactStatus saved = registry->SaveCurrentArtifact(scratch);
-  if (!saved.ok) {
-    SendError(loop, conn, header.request_id, "snapshot serialization failed: " + saved.error);
-    return FrameResult::kOk;
-  }
-  {
-    std::ifstream in(scratch, std::ios::binary);
-    conn.snap_bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-    const bool read_ok = static_cast<bool>(in) || in.eof();
-    std::remove(scratch.c_str());
-    if (!read_ok || conn.snap_bytes.empty()) {
-      conn.snap_bytes.clear();
-      SendError(loop, conn, header.request_id, "snapshot scratch read failed");
-      return FrameResult::kOk;
-    }
-  }
-
-  conn.snap_active = true;
+  // One registry read yields both the bytes and the id shipped below, so a
+  // publish landing mid-request cannot pair one version's bytes with the
+  // next version's id.
+  conn.snap = registry->Current();
   conn.snap_request_id = header.request_id;
   conn.snap_offset = 0;
   conn.snap_chunk = 0;
-  conn.snap_start = start;
+  conn.snap_start = Clock::now();
 
   // Begin frame: total bytes + the snapshot id being shipped.
   loop.payload_scratch.clear();
-  AppendU64(&loop.payload_scratch, conn.snap_bytes.size());
-  AppendU64(&loop.payload_scratch, registry->stats().current_id);
+  AppendU64(&loop.payload_scratch, conn.snap->artifact().mapped_bytes());
+  AppendU64(&loop.payload_scratch, conn.snap->id());
   loop.frame_scratch.clear();
   AppendFrame(&loop.frame_scratch, FrameType::kSnapshotBegin, header.request_id, 0,
               loop.payload_scratch.data(), loop.payload_scratch.size());
@@ -595,31 +565,29 @@ NetServer::FrameResult NetServer::HandleSnapshotRequest(Loop& loop, Connection& 
 }
 
 bool NetServer::PumpSnapshot(Loop& loop, Connection& conn) {
-  if (!conn.snap_active) return true;
+  if (conn.snap == nullptr) return true;
   // Stream only while the write ring has room: a slow replica's TCP window
   // throttles the pump instead of growing the primary's memory.
   while (conn.wbuf.size() < options_.write_high_water) {
     if (serve::FaultInjector::ShouldFail(serve::FaultPoint::kNetSnapshotStream)) {
       // Torn transfer: abort the connection mid-stream. The replica sees a
       // truncated stream, rejects it, and keeps serving its old snapshot.
-      conn.snap_active = false;
-      conn.snap_bytes.clear();
+      conn.snap.reset();
       std::lock_guard<std::mutex> lock(loop.stats_mu);
       ++loop.stats.snapshot_stream_failures;
       return false;
     }
-    const uint64_t total = conn.snap_bytes.size();
+    const char* bytes = conn.snap->artifact().mapped_data();
+    const uint64_t total = conn.snap->artifact().mapped_bytes();
     const uint64_t remaining = total - conn.snap_offset;
     if (remaining == 0) {
       loop.payload_scratch.clear();
-      AppendU64(&loop.payload_scratch, Fnv1a64(conn.snap_bytes.data(), total));
+      AppendU64(&loop.payload_scratch, Fnv1a64(bytes, total));
       loop.frame_scratch.clear();
       AppendFrame(&loop.frame_scratch, FrameType::kSnapshotEnd, conn.snap_request_id,
                   conn.snap_chunk, loop.payload_scratch.data(), loop.payload_scratch.size());
       conn.wbuf.Append(loop.frame_scratch.data(), loop.frame_scratch.size());
-      conn.snap_active = false;
-      conn.snap_bytes.clear();
-      conn.snap_bytes.shrink_to_fit();
+      conn.snap.reset();
       std::lock_guard<std::mutex> lock(loop.stats_mu);
       ++loop.stats.frames_out;
       ++loop.stats.snapshot_streams;
@@ -630,7 +598,7 @@ bool NetServer::PumpSnapshot(Loop& loop, Connection& conn) {
     const uint64_t len = std::min<uint64_t>(options_.snapshot_chunk_bytes, remaining);
     loop.frame_scratch.clear();
     AppendFrame(&loop.frame_scratch, FrameType::kSnapshotChunk, conn.snap_request_id,
-                conn.snap_chunk++, conn.snap_bytes.data() + conn.snap_offset, len);
+                conn.snap_chunk++, bytes + conn.snap_offset, len);
     conn.wbuf.Append(loop.frame_scratch.data(), loop.frame_scratch.size());
     conn.snap_offset += len;
     std::lock_guard<std::mutex> lock(loop.stats_mu);
@@ -681,7 +649,7 @@ bool NetServer::FlushWrites(Loop& loop, Connection& conn, bool* dropped) {
       return false;  // peer vanished mid-write
     }
     // The ring drained below high water: stream more snapshot chunks.
-    if (conn.snap_active && conn.wbuf.size() < options_.write_high_water) {
+    if (conn.snap != nullptr && conn.wbuf.size() < options_.write_high_water) {
       if (!PumpSnapshot(loop, conn)) {
         *dropped = true;
         return false;

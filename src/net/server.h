@@ -35,12 +35,12 @@
 //    has room — a slow replica never balloons the primary's memory.
 //
 // Replication endpoint: with a ModelRegistry attached as snapshot source,
-// a kSnapshotRequest serializes the CURRENT snapshot via
-// SaveCurrentArtifact and streams the artifact bytes (Begin/Chunk/End
-// framing, whole-stream checksum) to the replica, which validates and
-// hot-swaps it through net::ReplicateSnapshot (client.h). Estimates on
-// primary and replica are bitwise-equal — the artifact round-trip
-// guarantee carried over a socket.
+// a kSnapshotRequest pins the registry's CURRENT version and streams its
+// published artifact bytes straight from the validated mapping, under that
+// version's id (Begin/Chunk/End framing, whole-stream checksum), to the
+// replica, which validates and hot-swaps it through net::ReplicateSnapshot
+// (client.h). Primary and replica serve the same file through the same
+// zoo-backed engine, so their estimates are bitwise-equal.
 //
 // Protocol failures (bad magic/version/checksum, oversized or truncated
 // frames) drop ONLY the offending connection; server state, other
@@ -93,9 +93,6 @@ struct NetServerOptions {
   uint64_t write_high_water = 4u << 20;
   /// Snapshot stream chunk size (one kSnapshotChunk frame per chunk).
   uint64_t snapshot_chunk_bytes = 64u << 10;
-  /// Scratch path SaveCurrentArtifact serializes to before streaming
-  /// (empty = /tmp/duet_net_<pid>.artifact); suffixed per connection.
-  std::string snapshot_scratch_path;
 };
 
 /// The front-end. One instance owns its listener, loops and connections;
@@ -109,8 +106,8 @@ class NetServer {
   NetServer& operator=(const NetServer&) = delete;
 
   /// Attaches (or detaches, with nullptr) the registry whose CURRENT
-  /// snapshot answers kSnapshotRequest streams. Without one, snapshot
-  /// requests get a clean kError frame. Call before Start().
+  /// version's artifact answers kSnapshotRequest streams. Without one,
+  /// snapshot requests get a clean kError frame. Call before Start().
   void AttachSnapshotSource(serve::ModelRegistry* registry);
 
   /// Binds, listens and spawns the event loops. Clean error (nothing
@@ -166,7 +163,6 @@ class NetServer {
   serve::ServingEngine& engine_;
   NetServerOptions options_;
   std::atomic<serve::ModelRegistry*> snapshot_source_{nullptr};
-  std::string scratch_base_;
 
   std::vector<std::unique_ptr<Loop>> loops_;
   int listen_fd_ = -1;

@@ -82,7 +82,7 @@ inline constexpr uint8_t kFlagShed = 4;
 /// connection that keeps one of these decodes steady-state traffic without
 /// allocating.
 struct EstimateRequest {
-  std::string model_key;  ///< empty on fixed/registry-mode servers
+  std::string model_key;  ///< zoo key serving the frame (empty = rejected)
   uint64_t deadline_us = 0;
   std::vector<query::Query> queries;
 };

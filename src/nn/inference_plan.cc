@@ -178,6 +178,11 @@ int PlanBuilder::Add(int a, int b) {
 }
 
 std::shared_ptr<const InferencePlan> PlanBuilder::Finish(int output) {
+  // Fault point: every compilation — the lazy plan-cache path and the
+  // artifact writer a registry publish runs — ends here, so an injected
+  // failure surfaces exactly where a real one would.
+  serve::FaultInjector::MaybeThrow(serve::FaultPoint::kPlanCompile,
+                                   "injected plan-compile failure");
   DUET_CHECK(!ops_.empty());
   DUET_CHECK_EQ(output, ops_.back().dst) << "output must be the last appended value";
 
@@ -262,21 +267,14 @@ std::shared_ptr<const InferencePlan> GetOrCompilePlan(
         compile) {
   const tensor::WeightBackend backend = cache.requested.load(std::memory_order_acquire);
   std::lock_guard<std::mutex> lock(cache.mu);
-  // Pinned caches belong to an immutable snapshot: validate against the
-  // frozen version, not the global counter another model's training moves.
-  const uint64_t version =
-      cache.snapshot_id != 0 ? cache.snapshot_version : tensor::ParameterVersion();
+  const uint64_t version = tensor::ParameterVersion();
   if (cache.plan && cache.version == version && cache.plan->backend() == backend) {
     cache.hits.fetch_add(1, std::memory_order_relaxed);
     return cache.plan;
   }
   Timer timer;
-  // Fault point: plan compilation happens lazily under the cache lock; a
-  // throw here propagates out of the forward that triggered it and must be
-  // absorbed by the serving layer's shard catch (the cache keeps its
-  // previous plan — the swap below never ran).
-  serve::FaultInjector::MaybeThrow(serve::FaultPoint::kPlanCompile,
-                                   "injected plan-compile failure");
+  // A throw from `compile` (PlanBuilder::Finish's fault point) leaves the
+  // cache holding its previous plan — the swap below never runs.
   std::shared_ptr<const InferencePlan> plan = compile(backend);
   DUET_CHECK(plan != nullptr);
   // Atomic publication: the shared_ptr swap under `mu` means a concurrent
@@ -288,22 +286,6 @@ std::shared_ptr<const InferencePlan> GetOrCompilePlan(
   cache.compile_micros.fetch_add(static_cast<uint64_t>(timer.Micros()),
                                  std::memory_order_relaxed);
   return plan;
-}
-
-void PinPlanCache(InferencePlanCache& cache, const tensor::SnapshotStamp& stamp) {
-  DUET_CHECK_NE(stamp.id, 0u) << "snapshot id 0 means 'not a snapshot'";
-  std::lock_guard<std::mutex> lock(cache.mu);
-  cache.snapshot_id = stamp.id;
-  cache.snapshot_version = stamp.parameter_version;
-  // A plan compiled under the freeze-time version already packed the frozen
-  // weights and keeps hitting (pinned lookups compare against
-  // snapshot_version). Anything older is stale — compiled before the last
-  // mutation — and must be dropped, not restamped: the pin removes the
-  // global-counter comparison that would otherwise have caught it.
-  if (cache.plan && cache.version != stamp.parameter_version) {
-    cache.plan.reset();
-    cache.version = 0;
-  }
 }
 
 }  // namespace duet::nn

@@ -36,10 +36,9 @@
 // number of threads (execution scratch is thread_local). The cache follows
 // the layer-cache contract: concurrent forwards are safe while the owning
 // module's parameters are unchanging; updating THEM concurrently is never
-// synchronized — online updates train a clone and publish it as a frozen
-// snapshot whose plan cache is pinned to the freeze-time version
-// (snapshot_id below), immune to the version bumps the clone's training
-// emits (see serve/model_registry.h).
+// synchronized — online updates train a clone and publish it as a new
+// artifact the zoo serves (see serve/model_registry.h), so no served model
+// is ever trained in place.
 #ifndef DUET_NN_INFERENCE_PLAN_H_
 #define DUET_NN_INFERENCE_PLAN_H_
 
@@ -187,13 +186,6 @@ struct InferencePlanCache {
   std::mutex mu;
   std::shared_ptr<const InferencePlan> plan;
   uint64_t version = 0;
-  /// Snapshot pin (guarded by mu): nonzero id means the owning module's
-  /// parameters are frozen (Module::FreezeInferenceCaches) and the slot
-  /// belongs to that snapshot — lookups then validate against the frozen
-  /// `snapshot_version` instead of the moving global counter, so optimizer
-  /// steps on other (cloned) models can never invalidate this plan.
-  uint64_t snapshot_id = 0;
-  uint64_t snapshot_version = 0;
   /// Backend selected by SetInferenceBackend (release-stored there,
   /// acquire-loaded per forward; see the publication note in nn/layers.h).
   std::atomic<tensor::WeightBackend> requested{tensor::WeightBackend::kDenseF32};
@@ -215,18 +207,12 @@ struct InferencePlanCache {
 
 /// Cache-coherent plan lookup: returns the cached plan when its version and
 /// backend are current (counting a hit), otherwise invokes `compile` under
-/// the cache mutex, times it, publishes and returns the fresh plan. For a
-/// pinned cache (PinPlanCache) the reference version is the frozen
-/// snapshot version, never the moving global counter. This is the single
-/// implementation of the invalidation rules shared by every plan-compiling
-/// module.
+/// the cache mutex, times it, publishes and returns the fresh plan. This is
+/// the single implementation of the invalidation rules shared by every
+/// plan-compiling module.
 std::shared_ptr<const InferencePlan> GetOrCompilePlan(
     InferencePlanCache& cache,
     const std::function<std::shared_ptr<const InferencePlan>(tensor::WeightBackend)>& compile);
-
-/// Pins `cache` to a snapshot (see InferencePlanCache::snapshot_id). Called
-/// by plan-compiling modules from FreezeInferenceCaches.
-void PinPlanCache(InferencePlanCache& cache, const tensor::SnapshotStamp& stamp);
 
 }  // namespace duet::nn
 

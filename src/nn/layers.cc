@@ -31,38 +31,10 @@ tensor::Tensor Linear::EffectiveWeightCopy() const {
   return Tensor::FromVector(w_.shape(), w_.value_vector());
 }
 
-namespace {
-
-/// The reference version a cache slot must match: the frozen snapshot
-/// version for pinned slots (immune to foreign training), the global
-/// counter otherwise. Caller holds cache.mu.
-uint64_t CacheReferenceVersion(const PackedWeightsCache& cache) {
-  return cache.snapshot_id != 0 ? cache.snapshot_version : tensor::ParameterVersion();
-}
-
-/// Shared FreezeInferenceCaches implementation for Linear / MaskedLinear.
-void PinPackedCache(PackedWeightsCache& cache, const tensor::SnapshotStamp& stamp) {
-  DUET_CHECK_NE(stamp.id, 0u) << "snapshot id 0 means 'not a snapshot'";
-  std::lock_guard<std::mutex> lock(cache.mu);
-  cache.snapshot_id = stamp.id;
-  cache.snapshot_version = stamp.parameter_version;
-  // A pack built under the freeze-time version packed the frozen weights
-  // and keeps hitting (pinned lookups compare against snapshot_version).
-  // Anything older predates the last mutation and must be dropped, not
-  // restamped: the pin removes the global-counter comparison that would
-  // otherwise have caught the staleness.
-  if (cache.packed && cache.version != stamp.parameter_version) {
-    cache.packed.reset();
-    cache.version = 0;
-  }
-}
-
-}  // namespace
-
 std::shared_ptr<const tensor::PackedWeights> Linear::PackedWeight() const {
   const tensor::WeightBackend backend = cache_->requested.load(std::memory_order_acquire);
   std::lock_guard<std::mutex> lock(cache_->mu);
-  const uint64_t version = CacheReferenceVersion(*cache_);
+  const uint64_t version = tensor::ParameterVersion();
   if (cache_->version != version || !cache_->packed || cache_->packed->backend != backend) {
     // Pack from a non-pooled copy of W: the pack outlives any NoGradScope
     // and is read from many threads, so it must not borrow from a
@@ -84,10 +56,6 @@ void Linear::SetInferenceBackend(tensor::WeightBackend backend) const {
     cache_->packed.reset();
     cache_->version = 0;
   }
-}
-
-void Linear::FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const {
-  PinPackedCache(*cache_, stamp);
 }
 
 uint64_t Linear::CachedBytes() const {
@@ -137,7 +105,7 @@ tensor::Tensor MaskedLinear::EffectiveWeightCopy() const {
 std::shared_ptr<const tensor::PackedWeights> MaskedLinear::PackedEffectiveWeight() const {
   const tensor::WeightBackend backend = cache_->requested.load(std::memory_order_acquire);
   std::lock_guard<std::mutex> lock(cache_->mu);
-  const uint64_t version = CacheReferenceVersion(*cache_);
+  const uint64_t version = tensor::ParameterVersion();
   if (cache_->version != version || !cache_->packed || cache_->packed->backend != backend) {
     // For kDenseF32 the pack adopts the W o M materialization as-is —
     // exactly the PR-2 masked-weight cache; for CSR/int8/f16 the buffer is
@@ -150,10 +118,6 @@ std::shared_ptr<const tensor::PackedWeights> MaskedLinear::PackedEffectiveWeight
 
 void MaskedLinear::SetInferenceBackend(tensor::WeightBackend backend) const {
   cache_->requested.store(backend, std::memory_order_release);
-}
-
-void MaskedLinear::FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const {
-  PinPackedCache(*cache_, stamp);
 }
 
 uint64_t MaskedLinear::CachedBytes() const {
@@ -224,11 +188,6 @@ std::shared_ptr<const InferencePlan> Mlp::Compile(tensor::WeightBackend backend)
 void Mlp::SetInferenceBackend(tensor::WeightBackend backend) const {
   for (const Linear& l : layers_) l.SetInferenceBackend(backend);
   plan_cache_->requested.store(backend, std::memory_order_release);
-}
-
-void Mlp::FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const {
-  for (const Linear& l : layers_) l.FreezeInferenceCaches(stamp);
-  PinPlanCache(*plan_cache_, stamp);
 }
 
 void Mlp::SetPlanEnabled(bool enabled) const {

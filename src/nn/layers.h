@@ -38,23 +38,11 @@ namespace duet::nn {
 /// layers — every layer's output is still a valid value for its backend).
 /// Compiled plans (nn/inference_plan.h) close that gap: a planned forward
 /// resolves its backend exactly once. Either way, configure a model before
-/// sharing it with serving threads; published snapshots are configured
-/// exactly once, at publish time (serve/model_registry.h).
-///
-/// Snapshot pinning: `snapshot_id`/`snapshot_version` (guarded by mu) are
-/// set by FreezeInferenceCaches when the owning layer's parameters are
-/// declared permanently frozen. A pinned slot validates its pack against
-/// the frozen version instead of the moving global ParameterVersion(), so
-/// optimizer steps on *other* models (a background fine-tune of a clone)
-/// can never invalidate it — the multi-version rule that lets training and
-/// serving run concurrently on decoupled model instances.
+/// sharing it with serving threads.
 struct PackedWeightsCache {
   std::mutex mu;
   std::shared_ptr<const tensor::PackedWeights> packed;
   uint64_t version = 0;
-  /// Snapshot pin (guarded by mu); id 0 = live/mutable layer.
-  uint64_t snapshot_id = 0;
-  uint64_t snapshot_version = 0;
   /// Backend selected by SetInferenceBackend (release-store) and read on
   /// every no-grad forward (acquire-load).
   std::atomic<tensor::WeightBackend> requested{tensor::WeightBackend::kDenseF32};
@@ -79,7 +67,6 @@ class Linear : public Module {
                          tensor::Activation act = tensor::Activation::kNone) const;
 
   void SetInferenceBackend(tensor::WeightBackend backend) const override;
-  void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const override;
   /// Bytes held by the packed cache (0 until a non-dense no-grad forward).
   uint64_t CachedBytes() const override;
 
@@ -139,9 +126,7 @@ class Linear : public Module {
 /// shared_ptr). Concurrent parameter *updates* of THIS layer are never
 /// synchronized with in-flight forwards — which is why online serving
 /// never trains a served model in place: updates go to a clone that is
-/// frozen (FreezeInferenceCaches) and published as an immutable snapshot,
-/// while the served instance's pinned caches ignore the version bumps the
-/// clone's training emits (serve/model_registry.h).
+/// published as a new zoo artifact (serve/model_registry.h).
 class MaskedLinear : public Module {
  public:
   /// `mask` must be an [in, out] tensor of 0/1 floats.
@@ -154,7 +139,6 @@ class MaskedLinear : public Module {
                          tensor::Activation act = tensor::Activation::kNone) const;
 
   void SetInferenceBackend(tensor::WeightBackend backend) const override;
-  void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const override;
   /// Bytes held by the packed cache (0 until the first no-grad forward).
   /// This is the cache's memory cost on top of the fp32 parameters: the
   /// dense backend doubles a layer's weight memory, CSR halves the extra
@@ -203,7 +187,6 @@ class Mlp : public Module {
   tensor::Tensor Forward(const tensor::Tensor& x) const;
 
   void SetInferenceBackend(tensor::WeightBackend backend) const override;
-  void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const override;
   /// Layer packed caches + compiled plan bytes.
   uint64_t CachedBytes() const override;
 

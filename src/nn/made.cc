@@ -112,14 +112,6 @@ void Made::SetInferenceBackend(tensor::WeightBackend backend) const {
   plan_cache_->requested.store(backend, std::memory_order_release);
 }
 
-void Made::FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const {
-  for (const MaskedLinear& l : layers_) l.FreezeInferenceCaches(stamp);
-  if (res_input_) res_input_->FreezeInferenceCaches(stamp);
-  for (const MaskedLinear& l : res_layers_) l.FreezeInferenceCaches(stamp);
-  if (res_output_) res_output_->FreezeInferenceCaches(stamp);
-  PinPlanCache(*plan_cache_, stamp);
-}
-
 void Made::SetPlanEnabled(bool enabled) const {
   plan_cache_->enabled.store(enabled, std::memory_order_release);
   if (!enabled) {

@@ -76,10 +76,6 @@ class Made : public Backbone {
   /// lazily on its next no-grad forward.
   void SetInferenceBackend(tensor::WeightBackend backend) const override;
 
-  /// Pins every masked layer's pack and the plan cache to `stamp` (snapshot
-  /// publication; see nn/module.h).
-  void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const override;
-
   /// Total packed-cache bytes across all masked layers + the compiled plan.
   uint64_t CachedBytes() const override;
 

@@ -61,24 +61,9 @@ class Module {
   /// because it only reconfigures inference caches, never the trainable
   /// parameters. Packs and plans publish atomically, so a switch racing
   /// in-flight forwards is memory-safe — but a racing forward may serve
-  /// either backend, so configure a model before sharing it (snapshots are
-  /// configured once at publish time, see serve/model_registry.h).
+  /// either backend, so configure a model before sharing it.
   virtual void SetInferenceBackend(tensor::WeightBackend backend) const {
     (void)backend;
-  }
-
-  /// Declares this module's parameters permanently frozen and pins its
-  /// inference caches (packs + compiled plans) to `stamp`: pinned caches
-  /// stop comparing against the moving global tensor::ParameterVersion()
-  /// and serve what they built under stamp.parameter_version forever. This
-  /// is the multi-version serving hook — it makes a published snapshot
-  /// immune to the version bumps a background fine-tune of a *different*
-  /// (cloned) model performs on every optimizer step. Irreversible by
-  /// design: after freezing, training this module is a contract violation
-  /// (caches would serve stale weights). Container modules forward to their
-  /// children; modules without caches ignore it (default).
-  virtual void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const {
-    (void)stamp;
   }
 
   /// Bytes currently held by inference-side packed-weight caches (0 when no

@@ -158,10 +158,8 @@ ServingCardinalityProvider::ServingCardinalityProvider(serve::ServingEngine& eng
       model_keys_(std::move(model_keys)),
       sequential_(options.sequential),
       deadline_us_(options.deadline_us) {
-  if (engine_.keyed()) {
-    DUET_CHECK_EQ(static_cast<int>(model_keys_.size()), this->stats().num_tables())
-        << "zoo-mode serving needs one model key per star table";
-  }
+  DUET_CHECK_EQ(static_cast<int>(model_keys_.size()), this->stats().num_tables())
+      << "serving needs one model key per star table";
 }
 
 std::vector<serve::Estimate> ServingCardinalityProvider::FetchSelectivities(
@@ -172,13 +170,10 @@ std::vector<serve::Estimate> ServingCardinalityProvider::FetchSelectivities(
     // at a time — each waits out batch formation alone, nothing coalesces.
     for (size_t i = 0; i < tables.size(); ++i) {
       const int t = tables[i];
-      query::Query q = star.filters[static_cast<size_t>(t)];
-      serve::ServingEngine::Future f =
-          engine_.keyed()
-              ? engine_.Submit(model_keys_[static_cast<size_t>(t)], std::move(q),
-                               deadline_us_)
-              : engine_.Submit(std::move(q), deadline_us_);
-      out[i] = f.Result();
+      out[i] = engine_
+                   .Submit(model_keys_[static_cast<size_t>(t)],
+                           star.filters[static_cast<size_t>(t)], deadline_us_)
+                   .Result();
     }
     return out;
   }
@@ -188,11 +183,8 @@ std::vector<serve::Estimate> ServingCardinalityProvider::FetchSelectivities(
   std::vector<serve::ServingEngine::Future> futures(tables.size());
   for (size_t i = 0; i < tables.size(); ++i) {
     const int t = tables[i];
-    query::Query q = star.filters[static_cast<size_t>(t)];
-    futures[i] = engine_.keyed()
-                     ? engine_.Submit(model_keys_[static_cast<size_t>(t)], std::move(q),
-                                      deadline_us_)
-                     : engine_.Submit(std::move(q), deadline_us_);
+    futures[i] = engine_.Submit(model_keys_[static_cast<size_t>(t)],
+                                star.filters[static_cast<size_t>(t)], deadline_us_);
   }
   for (size_t i = 0; i < tables.size(); ++i) out[i] = futures[i].Result();
   return out;

@@ -7,7 +7,7 @@
 // level — and the provider decides where those numbers come from:
 //
 //  * ServingCardinalityProvider answers through a serve::ServingEngine.
-//    In zoo mode every table's model is registered under a string key and
+//    Every table's model is registered in the zoo under a string key and
 //    each DP level becomes one keyed Submit burst, so the optimizer's
 //    fan-out lands in the micro-batcher together and same-key requests
 //    coalesce into fused GEMMs (ServingOptions::fuse_requests). Degraded
@@ -155,9 +155,8 @@ class ComposedCardinalityProvider : public CardinalityProvider {
 };
 
 /// Serving-stack provider: selectivities come from a serve::ServingEngine.
-/// Zoo mode (engine.keyed()): `model_keys[t]` names table t's artifact and
-/// each level is one keyed Submit burst. Non-zoo engines (fixed/registry,
-/// single-table scenarios) pass empty keys and use the key-less Submit.
+/// `model_keys[t]` names table t's zoo artifact and each DP level is one
+/// keyed Submit burst.
 class ServingCardinalityProvider : public ComposedCardinalityProvider {
  public:
   ServingCardinalityProvider(serve::ServingEngine& engine,

@@ -9,11 +9,10 @@
 #include "query/query.h"
 
 namespace duet::tensor {
-// Opaque declarations (definitions: tensor/packed_weights.h and
-// tensor/tensor.h) so every estimator TU does not pull in the packed-kernel
-// headers for one enum passed by value and one struct passed by reference.
+// Opaque declaration (definition: tensor/packed_weights.h) so every
+// estimator TU does not pull in the packed-kernel headers for one enum
+// passed by value.
 enum class WeightBackend : int32_t;
-struct SnapshotStamp;
 }  // namespace duet::tensor
 
 namespace duet::query {
@@ -32,11 +31,9 @@ namespace duet::query {
 /// locks. Training, fine-tuning and checkpoint loading are NOT safe
 /// concurrently with estimation *on the same model instance*. Online
 /// updates therefore never mutate a served model in place: they fine-tune a
-/// clone and publish it as an immutable snapshot that new dispatches swap
-/// to atomically, while in-flight batches finish on the snapshot they
-/// started on (see serve/model_registry.h and serve/serving_engine.h —
-/// training a *different* model instance concurrently with estimation is
-/// safe).
+/// clone and publish it as a new artifact that new dispatches swap to,
+/// while in-flight batches finish on the artifact they started on (see
+/// serve/model_registry.h and serve/serving_engine.h).
 class CardinalityEstimator {
  public:
   virtual ~CardinalityEstimator() = default;
@@ -60,26 +57,8 @@ class CardinalityEstimator {
   /// a packed weight path ignore it (default). Configure before sharing the
   /// estimator with serving threads: with estimates in flight the switch is
   /// memory-safe (packs and plans publish atomically — no torn views, see
-  /// nn/layers.h), but a racing forward may serve either backend. Model
-  /// snapshots are configured exactly once, at publish time.
+  /// nn/layers.h), but a racing forward may serve either backend.
   virtual void SetInferenceBackend(tensor::WeightBackend backend) { (void)backend; }
-
-  /// Declares the wrapped model's parameters permanently frozen and pins
-  /// its inference caches to `stamp` (snapshot publication — the
-  /// serve::ModelRegistry hook, see nn/module.h for the pinning rules).
-  /// Estimators over mutable or cache-free models ignore it (default).
-  virtual void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) { (void)stamp; }
-
-  /// Feedback hook for online adaptation: reports the observed true
-  /// cardinality of a query this estimator served, once the execution
-  /// engine has run the query and counted the result. The default ignores
-  /// it; adaptive serving stacks route these pairs into a feedback buffer
-  /// that a background fine-tune worker drains (serve/update_worker.h).
-  /// Must be cheap and thread-safe — it is called on the serving path.
-  virtual void ObserveTrueCardinality(const Query& query, double true_cardinality) {
-    (void)query;
-    (void)true_cardinality;
-  }
 
   /// Bytes currently held by packed-weight inference caches, including the
   /// compiled plan's packs (0 for estimators without one, or before the

@@ -36,8 +36,8 @@ namespace duet::serve {
 enum class FaultPoint : int {
   kNeuralForward = 0,   ///< serving dispatch: the neural estimate call throws
   kAllocation = 1,      ///< tensor::InferenceArena buffer acquisition fails
-  kPackWeights = 2,     ///< tensor::PackWeights (backend repack) fails
-  kPlanCompile = 3,     ///< nn::GetOrCompilePlan compilation fails
+  kPackWeights = 2,     ///< tensor::PackWeights fails (at publish: artifact write)
+  kPlanCompile = 3,     ///< nn::PlanBuilder::Finish fails (at publish: artifact write)
   kCheckpointWrite = 4, ///< core::SaveModuleFile tears the file mid-write
   kPublish = 5,         ///< serve::ModelRegistry::Publish fails
   kFineTuneDiverge = 6, ///< core::CloneAndFineTune candidate diverges (NaN)

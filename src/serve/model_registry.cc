@@ -1,32 +1,33 @@
 #include "serve/model_registry.h"
 
+#include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "artifact/artifact.h"
 #include "core/finetune.h"
 #include "serve/fault_injector.h"
 
 namespace duet::serve {
 
-ModelSnapshot::ModelSnapshot(std::unique_ptr<core::DuetModel> model,
-                             tensor::SnapshotStamp stamp)
-    : model_(std::move(model)), stamp_(stamp) {
+ModelSnapshot::ModelSnapshot(std::unique_ptr<core::DuetModel> model, std::string path,
+                             std::shared_ptr<const artifact::ArtifactModel> artifact)
+    : model_(std::move(model)), path_(std::move(path)), artifact_(std::move(artifact)) {
   DUET_CHECK(model_ != nullptr);
-  estimator_ = std::make_unique<core::DuetEstimator>(*model_);
+  DUET_CHECK(artifact_ != nullptr);
 }
 
-ModelRegistry::ModelRegistry(std::unique_ptr<core::DuetModel> initial,
+ModelRegistry::ModelRegistry(std::unique_ptr<core::DuetModel> initial, ModelZoo& zoo,
+                             std::string key, std::string artifact_dir,
                              RegistryOptions options)
-    : options_(options) {
+    : zoo_(zoo), key_(std::move(key)), artifact_dir_(std::move(artifact_dir)),
+      options_(options) {
+  DUET_CHECK(!key_.empty()) << "registry keys must be non-empty";
   Publish(std::move(initial));
 }
 
 std::shared_ptr<const ModelSnapshot> ModelRegistry::Current() const {
-  // The one acquire-load on the estimate path: pairs with the release store
-  // in Publish, so a dispatch that sees the new pointer also sees the fully
-  // frozen, prewarmed snapshot behind it.
   return std::atomic_load_explicit(&current_, std::memory_order_acquire);
 }
 
@@ -36,50 +37,52 @@ std::shared_ptr<const ModelSnapshot> ModelRegistry::Publish(
   std::lock_guard<std::mutex> publish_lock(publish_mu_);
   Timer publish_timer;
 
-  // Fault point: publication can fail for real (pack/plan compilation below
-  // throws, allocation fails). Everything that can throw runs before the
-  // snapshot becomes visible, so a failed Publish leaves the previous
-  // snapshot serving and the registry state untouched — callers (the update
-  // worker) retry with backoff.
+  // Fault point: publication can fail for real (packing or plan
+  // compilation throws, the disk fills). Everything that can throw runs
+  // before the key is re-registered, so a failed Publish leaves the zoo
+  // serving the previous artifact — callers (the update worker) retry with
+  // backoff.
   FaultInjector::MaybeThrow(FaultPoint::kPublish, "injected publish failure");
 
-  // Configure-then-freeze, all before the snapshot is visible: the
-  // registry's backend/plan choice is applied while this thread is the
-  // model's sole user, then the caches are pinned so the fine-tune worker's
-  // version bumps (or any other model's training) can never invalidate
-  // them.
-  model->SetInferenceBackend(options_.backend);
-  model->SetPlanEnabled(options_.compile_plans);
-  const tensor::SnapshotStamp stamp = tensor::AcquireSnapshotStamp();
-  model->FreezeInferenceCaches(stamp);
-  if (options_.prewarm) {
-    // One wildcard estimate builds the packs and compiles the plan on the
-    // publisher's thread, so post-swap traffic starts on warm caches.
-    model->EstimateSelectivity(query::Query{});
-    if (options_.prewarm_arena_batch > 0) {
-      // Arena warm-up: one representative-shape batch pass populates this
-      // thread's InferenceArena free lists with batch-sized activation
-      // buffers before the swap, so the first post-swap batch served from
-      // this thread allocates nothing (see RegistryOptions).
-      const std::vector<query::Query> warm(
-          static_cast<size_t>(options_.prewarm_arena_batch), query::Query{});
-      model->EstimateSelectivityBatch(warm);
-    }
+  // A fresh versioned name: the file the zoo serves is never overwritten.
+  const std::string path =
+      artifact_dir_ + "/" + key_ + ".v" + std::to_string(next_version_++) + ".duet";
+  std::shared_ptr<const artifact::ArtifactModel> validated;
+  try {
+    // Packs and compiles under the registry backend (kPackWeights and
+    // kPlanCompile fire here), then writes (kCheckpointWrite tears it).
+    artifact::ArtifactStatus st = artifact::WriteArtifact(path, *model, options_.backend);
+    // Full-checksum load before the key may point at the file: a torn or
+    // corrupt write fails here, never on a serving dispatch.
+    if (st.ok) st = artifact::LoadArtifact(path, artifact::ArtifactLoadOptions{}, &validated);
+    if (!st.ok) throw std::runtime_error("publishing '" + key_ + "' failed: " + st.error);
+  } catch (...) {
+    std::remove(path.c_str());
+    throw;
   }
-  auto snapshot = std::make_shared<const ModelSnapshot>(std::move(model), stamp);
-  {
-    std::lock_guard<std::mutex> history_lock(history_mu_);
-    history_.push_back(snapshot);
-  }
+  auto snapshot =
+      std::make_shared<const ModelSnapshot>(std::move(model), path, std::move(validated));
 
   Timer swap_timer;
-  std::atomic_store_explicit(&current_, std::shared_ptr<const ModelSnapshot>(snapshot),
-                             std::memory_order_release);
+  zoo_.Register(key_, path);
+  const std::shared_ptr<const ModelSnapshot> previous =
+      std::atomic_exchange_explicit(&current_, snapshot, std::memory_order_acq_rel);
   const double swap_micros = swap_timer.Micros();
+
+  // Warm acquire on the publisher's thread, so the first dispatch after the
+  // swap is a resident hit. Best effort: a load failure here degrades
+  // dispatches to the fallback like any unloadable key.
+  {
+    ZooPin warm;
+    zoo_.TryAcquire(key_, &warm);
+  }
+  // Outstanding pins (and `previous`) keep their mappings; only the name
+  // goes away.
+  if (previous != nullptr) std::remove(previous->path().c_str());
 
   std::lock_guard<std::mutex> stats_lock(stats_mu_);
   ++stats_.published;
-  stats_.current_id = stamp.id;
+  stats_.current_id = snapshot->id();
   stats_.last_publish_micros = publish_timer.Micros();
   stats_.last_swap_micros = swap_micros;
   return snapshot;
@@ -90,39 +93,9 @@ std::unique_ptr<core::DuetModel> ModelRegistry::CloneCurrent() const {
   return core::CloneModel(snapshot->model());
 }
 
-artifact::ArtifactStatus ModelRegistry::SaveCurrentArtifact(const std::string& path) const {
-  // The pin keeps the snapshot alive through serialization; writing is
-  // read-only on the frozen model, so concurrent dispatches (and even a
-  // concurrent publish) stay undisturbed.
-  const std::shared_ptr<const ModelSnapshot> snapshot = Current();
-  return artifact::WriteArtifact(path, snapshot->model(), options_.backend);
-}
-
-uint64_t ModelRegistry::AliveSnapshots() const {
-  std::lock_guard<std::mutex> lock(history_mu_);
-  uint64_t alive = 0;
-  // Prune expired entries while counting so churny workloads do not grow
-  // the history without bound. Skip the self-assignment when nothing has
-  // been pruned yet: moving a weak_ptr onto itself empties it.
-  auto out = history_.begin();
-  for (auto it = history_.begin(); it != history_.end(); ++it) {
-    if (it->expired()) continue;
-    ++alive;
-    if (out != it) *out = std::move(*it);
-    ++out;
-  }
-  history_.erase(out, history_.end());
-  return alive;
-}
-
 RegistryStats ModelRegistry::stats() const {
-  RegistryStats snapshot;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    snapshot = stats_;
-  }
-  snapshot.alive = AliveSnapshots();
-  return snapshot;
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  return stats_;
 }
 
 }  // namespace duet::serve

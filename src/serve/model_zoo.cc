@@ -9,7 +9,8 @@
 namespace duet::serve {
 
 /// One registered key. `model`, `bytes`, `last_used`, `pins`, `loads`,
-/// `evictions`, `last_load_micros` are guarded by the zoo's mu_; `load_mu`
+/// `evictions`, `republishes`, `last_load_micros` are guarded by the zoo's
+/// mu_; `load_mu`
 /// serializes first-touch loads of this key only; `serves` is a relaxed
 /// atomic so NoteServed stays off every lock.
 struct ZooEntry {
@@ -21,6 +22,7 @@ struct ZooEntry {
   uint64_t pins = 0;
   uint64_t loads = 0;
   uint64_t evictions = 0;
+  uint64_t republishes = 0;
   double last_load_micros = 0.0;
   std::atomic<uint64_t> serves{0};
   std::mutex load_mu;
@@ -47,12 +49,13 @@ void ModelZoo::Register(const std::string& key, std::string path) {
   if (slot == nullptr) {
     slot = std::make_shared<ZooEntry>();
     slot->key = key;
-  } else if (slot->model != nullptr) {
+  } else {
+    slot->republishes += 1;
     // Re-publish: drop the zoo's resident copy so the next acquire loads
     // the new artifact. Outstanding pins hold their own shared_ptr to the
     // superseded model, so in-flight batches finish on the mapping they
-    // resolved (the registry retirement rule).
-    EvictLocked(*slot);
+    // resolved.
+    if (slot->model != nullptr) EvictLocked(*slot);
   }
   slot->path = std::move(path);
 }
@@ -165,8 +168,7 @@ uint64_t ModelZoo::AliveSnapshots() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t alive = 0;
   // Prune expired entries while counting. Skip the self-assignment when
-  // nothing has been pruned yet: moving a weak_ptr onto itself empties it
-  // (the ModelRegistry::AliveSnapshots rule).
+  // nothing has been pruned yet: moving a weak_ptr onto itself empties it.
   auto keep = history_.begin();
   for (auto it = history_.begin(); it != history_.end(); ++it) {
     if (it->expired()) continue;
@@ -205,6 +207,7 @@ bool ModelZoo::ModelStats(const std::string& key, ZooModelStats* out) const {
   out->loads = entry.loads;
   out->evictions = entry.evictions;
   out->serves = entry.serves.load(std::memory_order_relaxed);
+  out->republishes = entry.republishes;
   out->last_load_micros = entry.last_load_micros;
   return true;
 }

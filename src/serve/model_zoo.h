@@ -2,9 +2,10 @@
 // first-touch loading and cost-aware LRU eviction under a global memory
 // budget.
 //
-// The single-model ModelRegistry answers "which version of THE model do
-// dispatches serve on"; the zoo answers "which of 1000+ models is resident
-// at all". Registration is metadata-only (key -> artifact path) — nothing
+// The zoo is the one place served models live: the ServingEngine resolves
+// every dispatch through it, and serve::ModelRegistry publishes fine-tuned
+// versions into it by writing a new artifact and re-registering the key.
+// Registration is metadata-only (key -> artifact path) — nothing
 // is mapped until the first acquire touches the key, and the artifact
 // format makes that touch cheap: one mmap + pointer fixup, no parse, no
 // repack (artifact/artifact.h). Under a memory budget the zoo evicts the
@@ -22,9 +23,9 @@
 // immediately, and a later acquire transparently reloads from the artifact
 // path with bitwise-identical estimates (the artifact is the model).
 //
-// Re-registering a live key is a publish: the path is swapped and the
-// resident copy is dropped from the zoo (existing pins keep the superseded
-// mapping alive until they drain — the ModelRegistry retirement rule);
+// Re-registering a live key is a publish: the path is swapped, the key's
+// `republishes` counter moves, and the resident copy is dropped from the
+// zoo (existing pins keep the superseded mapping alive until they drain);
 // the next acquire loads the new artifact.
 //
 // Thread-safety: all members are safe to call concurrently. One mutex
@@ -67,6 +68,9 @@ struct ZooModelStats {
   uint64_t loads = 0;       ///< times this key was (re)loaded
   uint64_t evictions = 0;   ///< times this key was evicted / superseded
   uint64_t serves = 0;      ///< queries served through this key's pins
+  /// Register calls that replaced this key's existing registration — the
+  /// hot swaps traffic on this key has been offered.
+  uint64_t republishes = 0;
   double last_load_micros = 0.0;  ///< wall time of the most recent load
 };
 
@@ -125,8 +129,9 @@ class ModelZoo {
   ModelZoo& operator=(const ModelZoo&) = delete;
 
   /// Registers (or re-publishes) `key` -> artifact at `path`. Metadata only:
-  /// no file access until the first acquire. Re-registering a key drops its
-  /// resident copy (outstanding pins keep serving the superseded mapping).
+  /// no file access until the first acquire. Re-registering a key counts a
+  /// republish and drops its resident copy (outstanding pins keep serving
+  /// the superseded mapping).
   void Register(const std::string& key, std::string path);
 
   bool Contains(const std::string& key) const;
@@ -154,7 +159,7 @@ class ModelZoo {
 
   /// Loaded artifact models still alive anywhere (resident in the zoo or
   /// held by outstanding/superseded pins) — the leak detector the teardown
-  /// tests assert on, mirroring ModelRegistry::AliveSnapshots().
+  /// and publish-churn tests assert on.
   uint64_t AliveSnapshots() const;
 
   ZooStats stats() const;

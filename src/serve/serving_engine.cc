@@ -6,9 +6,6 @@
 
 #include "common/logging.h"
 #include "serve/fault_injector.h"
-#include "serve/model_registry.h"
-#include "serve/model_zoo.h"
-#include "serve/update_worker.h"
 
 namespace duet::serve {
 
@@ -28,8 +25,8 @@ int64_t NowMicros() {
 /// so a Future wait never contends with unrelated traffic.
 struct ServingEngine::Pending {
   query::Query query;
-  /// Zoo mode: which model serves this query (empty in fixed/registry
-  /// mode). The scheduler groups a micro-batch by key at dispatch.
+  /// Which model serves this query; the scheduler groups a micro-batch by
+  /// key at dispatch.
   std::string model_key;
   Clock::time_point enqueued;
   /// Absolute expiry; time_point::max() = no deadline. The scheduler drops
@@ -71,39 +68,8 @@ Estimate ServingEngine::Future::Result() const {
   return state_->result;
 }
 
-ServingEngine::ServingEngine(query::CardinalityEstimator& estimator, ServingOptions options)
-    : fixed_estimator_(&estimator), options_(options), pool_(options.num_workers) {
-  DUET_CHECK_GE(options_.min_shard, 1);
-  DUET_CHECK_GE(options_.max_batch, 1);
-  DUET_CHECK_GE(options_.max_wait_us, 0);
-  DUET_CHECK_GE(options_.max_queue, 0);
-  DUET_CHECK_GE(options_.default_deadline_us, 0);
-  DUET_CHECK_GE(options_.breaker_threshold, 1);
-  DUET_CHECK_GE(options_.breaker_cooldown_us, 0);
-  // Applied before any worker can estimate: layers repack (and plans
-  // recompile) lazily on their first forward under the new configuration.
-  estimator.SetInferenceBackend(options_.backend);
-  estimator.SetPlanEnabled(options_.compile_plans);
-  scheduler_ = std::thread([this] { SchedulerLoop(); });
-}
-
-ServingEngine::ServingEngine(ModelRegistry& registry, ServingOptions options)
-    : registry_(&registry), options_(options), pool_(options.num_workers) {
-  DUET_CHECK_GE(options_.min_shard, 1);
-  DUET_CHECK_GE(options_.max_batch, 1);
-  DUET_CHECK_GE(options_.max_wait_us, 0);
-  DUET_CHECK_GE(options_.max_queue, 0);
-  DUET_CHECK_GE(options_.default_deadline_us, 0);
-  DUET_CHECK_GE(options_.breaker_threshold, 1);
-  DUET_CHECK_GE(options_.breaker_cooldown_us, 0);
-  // No backend/plan application here: snapshots arrive configured and
-  // frozen by the registry (RegistryOptions), and reconfiguring a frozen
-  // snapshot is not the engine's call to make.
-  scheduler_ = std::thread([this] { SchedulerLoop(); });
-}
-
 ServingEngine::ServingEngine(ModelZoo& zoo, ServingOptions options)
-    : zoo_(&zoo), options_(options), pool_(options.num_workers) {
+    : zoo_(zoo), options_(options), pool_(options.num_workers) {
   DUET_CHECK_GE(options_.min_shard, 1);
   DUET_CHECK_GE(options_.max_batch, 1);
   DUET_CHECK_GE(options_.max_wait_us, 0);
@@ -111,8 +77,6 @@ ServingEngine::ServingEngine(ModelZoo& zoo, ServingOptions options)
   DUET_CHECK_GE(options_.default_deadline_us, 0);
   DUET_CHECK_GE(options_.breaker_threshold, 1);
   DUET_CHECK_GE(options_.breaker_cooldown_us, 0);
-  // Like registry mode: artifacts arrive frozen at write time, so the
-  // engine never applies backend/plan configuration.
   scheduler_ = std::thread([this] { SchedulerLoop(); });
 }
 
@@ -125,55 +89,22 @@ ServingEngine::~ServingEngine() {
   scheduler_.join();  // drains every pending query before returning
 }
 
-ServingEngine::Target ServingEngine::Resolve() const {
-  if (zoo_ != nullptr) return Target{};  // keyed dispatches use ResolveKey
-  if (registry_ == nullptr) {
-    Target target;
-    target.estimator = fixed_estimator_;
-    return target;
-  }
-  // The hot-swap read: one acquire-load of the current snapshot. The
-  // returned pin keeps the snapshot alive for the whole dispatch, so a
-  // concurrent publish retires the old model only after this batch is done.
-  Target target;
-  target.pin = registry_->Current();
-  target.estimator = &target.pin->estimator();
-  target.snapshot_id = target.pin->id();
-  return target;
-}
-
-ServingEngine::Target ServingEngine::ResolveKey(const std::string& model_key) const {
-  DUET_CHECK(zoo_ != nullptr) << "keyed dispatch on a non-zoo engine";
-  Target target;
+ZooPin ServingEngine::ResolveKey(const std::string& model_key) const {
   ZooPin pin;
-  const artifact::ArtifactStatus st = zoo_->TryAcquire(model_key, &pin);
-  if (!st.ok) return target;  // empty target: the dispatch degrades to fallback
-  target.zoo_pin = std::move(pin);
-  target.estimator = &target.zoo_pin->estimator();
-  target.snapshot_id = target.zoo_pin->fingerprint();
-  return target;
+  zoo_.TryAcquire(model_key, &pin);  // on failure `pin` stays null
+  return pin;
 }
 
-void ServingEngine::NoteDispatch(const Target& target) {
-  if (target.snapshot_id == 0) return;
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  if (stats_.snapshot_id != 0 && stats_.snapshot_id != target.snapshot_id) {
-    ++stats_.snapshot_swaps;
-  }
-  stats_.snapshot_id = target.snapshot_id;
-}
-
-int64_t ServingEngine::EstimateSharded(const Target& target,
+int64_t ServingEngine::EstimateSharded(const ZooPin& pin,
                                        const std::vector<query::Query>& queries,
                                        double* out, bool* degraded) {
   const int64_t n = static_cast<int64_t>(queries.size());
   if (n == 0) return 0;
-  query::CardinalityEstimator& estimator = *target.estimator;
+  query::CardinalityEstimator& estimator = pin->estimator();
   // Shards split on query boundaries; per-row results are batch-size
-  // invariant (kernel invariant + per-query deterministic sampling seeds),
-  // so any split yields bitwise the single-thread batch result. All shards
-  // run on the one estimator `target` resolved — a mid-batch snapshot
-  // publish cannot split a batch across models.
+  // invariant (kernel invariant), so any split yields bitwise the
+  // single-thread batch result. All shards run on the one model `pin`
+  // holds — a mid-batch re-register cannot split a batch across models.
   const int64_t by_floor = std::max<int64_t>(1, n / options_.min_shard);
   const int64_t num_shards =
       std::min<int64_t>(static_cast<int64_t>(pool_.num_threads()), by_floor);
@@ -321,19 +252,19 @@ void ServingEngine::RecordNeuralOutcome(bool failed) {
   }
 }
 
-void ServingEngine::ServeBatch(const Target& target,
-                               const std::vector<query::Query>& queries, double* out,
-                               bool* degraded) {
+void ServingEngine::ServeBatch(const ZooPin& pin, const std::vector<query::Query>& queries,
+                               double* out, bool* degraded) {
   const int64_t n = static_cast<int64_t>(queries.size());
   if (n == 0) return;
-  if (target.estimator == nullptr) {
-    // Zoo mode with a key whose artifact failed to load (or was never
-    // registered): the whole dispatch degrades to the fallback, flagged.
-    // Not a neural failure — the breaker only judges the neural path.
+  if (pin == nullptr) {
+    // A key whose artifact failed to load (or was never registered): the
+    // whole dispatch degrades to the fallback, flagged. Not a neural
+    // failure — the breaker only judges the neural path.
     ServeFallback(queries, 0, n, out);
     if (degraded != nullptr) std::fill(degraded, degraded + n, true);
     return;
   }
+  pin->NoteServed(static_cast<uint64_t>(n));
   if (!AllowNeural()) {
     // Breaker open: the whole dispatch degrades to the fallback without
     // touching the neural path.
@@ -341,16 +272,8 @@ void ServingEngine::ServeBatch(const Target& target,
     if (degraded != nullptr) std::fill(degraded, degraded + n, true);
     return;
   }
-  const int64_t failed_shards = EstimateSharded(target, queries, out, degraded);
+  const int64_t failed_shards = EstimateSharded(pin, queries, out, degraded);
   RecordNeuralOutcome(failed_shards > 0);
-}
-
-std::vector<double> ServingEngine::EstimateBatch(const std::vector<query::Query>& queries,
-                                                 uint64_t* snapshot_id) {
-  const std::vector<Estimate> results = EstimateBatchEx(queries, 0, snapshot_id);
-  std::vector<double> sels(results.size());
-  for (size_t i = 0; i < results.size(); ++i) sels[i] = results[i].selectivity;
-  return sels;
 }
 
 std::vector<double> ServingEngine::EstimateBatch(const std::string& model_key,
@@ -363,37 +286,19 @@ std::vector<double> ServingEngine::EstimateBatch(const std::string& model_key,
 }
 
 std::vector<Estimate> ServingEngine::EstimateBatchEx(
-    const std::vector<query::Query>& queries, int64_t deadline_us,
-    uint64_t* snapshot_id) {
-  DUET_CHECK(zoo_ == nullptr) << "zoo-mode engine requires a model key";
-  return EstimateBatchImpl(nullptr, queries, deadline_us, snapshot_id);
-}
-
-std::vector<Estimate> ServingEngine::EstimateBatchEx(
     const std::string& model_key, const std::vector<query::Query>& queries,
     int64_t deadline_us, uint64_t* snapshot_id) {
-  DUET_CHECK(zoo_ != nullptr) << "keyed EstimateBatchEx on a non-zoo engine";
-  return EstimateBatchImpl(&model_key, queries, deadline_us, snapshot_id);
-}
-
-std::vector<Estimate> ServingEngine::EstimateBatchImpl(
-    const std::string* model_key, const std::vector<query::Query>& queries,
-    int64_t deadline_us, uint64_t* snapshot_id) {
   const Clock::time_point start = Clock::now();
-  // Resolved once per client call: the pin in `target` holds the snapshot
-  // (or the pinned zoo model) until this batch returns, however many
-  // publishes or evictions happen meanwhile.
-  const Target target = model_key != nullptr ? ResolveKey(*model_key) : Resolve();
-  NoteDispatch(target);
-  if (snapshot_id != nullptr) *snapshot_id = target.snapshot_id;
+  // Resolved once per client call: the pin holds the key's model until
+  // this batch returns, however many re-registers or evictions happen
+  // meanwhile.
+  const ZooPin pin = ResolveKey(model_key);
+  if (snapshot_id != nullptr) *snapshot_id = pin != nullptr ? pin->fingerprint() : 0;
   std::vector<double> sels(queries.size());
   std::vector<uint8_t> degraded(queries.size(), 0);
   // bool* view over the flag bytes: std::vector<bool> has no data().
   static_assert(sizeof(bool) == 1, "degraded flags alias uint8_t storage");
-  ServeBatch(target, queries, sels.data(), reinterpret_cast<bool*>(degraded.data()));
-  if (target.zoo_pin != nullptr) {
-    target.zoo_pin->NoteServed(static_cast<uint64_t>(queries.size()));
-  }
+  ServeBatch(pin, queries, sels.data(), reinterpret_cast<bool*>(degraded.data()));
   // The sync path runs on the caller's thread, so the batch was attempted
   // regardless of the budget; what a deadline buys here is *late-result
   // detection* — answers that arrived after the caller's budget are flagged
@@ -414,27 +319,14 @@ std::vector<Estimate> ServingEngine::EstimateBatchImpl(
   return results;
 }
 
-ServingEngine::Future ServingEngine::Submit(query::Query query, int64_t deadline_us) {
-  DUET_CHECK(zoo_ == nullptr) << "zoo-mode engine requires a model key";
-  return SubmitImpl(std::string(), std::move(query), deadline_us, nullptr);
-}
-
 ServingEngine::Future ServingEngine::Submit(const std::string& model_key, query::Query query,
                                             int64_t deadline_us) {
-  DUET_CHECK(zoo_ != nullptr) << "keyed Submit on a non-zoo engine";
   return SubmitImpl(model_key, std::move(query), deadline_us, nullptr);
-}
-
-void ServingEngine::SubmitWithCallback(query::Query query, int64_t deadline_us,
-                                       std::function<void(const Estimate&)> done) {
-  DUET_CHECK(zoo_ == nullptr) << "zoo-mode engine requires a model key";
-  SubmitImpl(std::string(), std::move(query), deadline_us, std::move(done));
 }
 
 void ServingEngine::SubmitWithCallback(const std::string& model_key, query::Query query,
                                        int64_t deadline_us,
                                        std::function<void(const Estimate&)> done) {
-  DUET_CHECK(zoo_ != nullptr) << "keyed SubmitWithCallback on a non-zoo engine";
   SubmitImpl(model_key, std::move(query), deadline_us, std::move(done));
 }
 
@@ -508,30 +400,6 @@ ServingEngine::Future ServingEngine::SubmitImpl(std::string model_key, query::Qu
   return Future(state);
 }
 
-void ServingEngine::ReportObserved(const query::Query& query, double true_cardinality) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.feedback_reported;
-  }
-  UpdateWorker* worker = feedback_.load(std::memory_order_acquire);
-  if (worker != nullptr) {
-    worker->AddFeedback(query, true_cardinality);
-    return;
-  }
-  // No worker attached: offer the pair to the estimator's own hook (a
-  // no-op for the in-tree estimators unless they override it). Zoo mode
-  // has no single serving model to offer it to — the counter above is the
-  // only effect until a worker is attached.
-  const Target target = Resolve();
-  if (target.estimator != nullptr) {
-    target.estimator->ObserveTrueCardinality(query, true_cardinality);
-  }
-}
-
-void ServingEngine::AttachUpdateWorker(UpdateWorker* worker) {
-  feedback_.store(worker, std::memory_order_release);
-}
-
 void ServingEngine::AttachFallback(query::CardinalityEstimator* fallback) {
   fallback_.store(fallback, std::memory_order_release);
 }
@@ -589,12 +457,11 @@ void ServingEngine::DispatchMicroBatch(std::vector<std::shared_ptr<Pending>> bat
   // under stats_mu_ after the batch completes.
   std::vector<int64_t> fused_sizes;
   if (!admitted.empty()) {
-    // Cross-request fusion: group by model key (fixed/registry mode: every
-    // key is empty, so this is one group) and serve each group as ONE
+    // Cross-request fusion: group by model key and serve each group as ONE
     // batched estimate — a GEMM over the stacked feature rows instead of N
     // independent batch-1 GEMVs. Each group is served end-to-end by one
-    // resolved target — one snapshot or one pinned zoo model, never a
-    // mid-group mix. Grouping preserves submission order within each group,
+    // pinned zoo model, never a mid-group mix. Grouping preserves
+    // submission order within each group,
     // and kernel batch invariance makes every per-query result bitwise what
     // a batch-1 dispatch would produce — so fusion (and the unfused A/B arm
     // below) changes throughput, never answers.
@@ -616,16 +483,11 @@ void ServingEngine::DispatchMicroBatch(std::vector<std::shared_ptr<Pending>> bat
       std::vector<query::Query> queries;
       queries.reserve(end - g);
       for (size_t i = g; i < end; ++i) queries.push_back(admitted[order[i]]->query);
-      const std::string& key = admitted[order[g]]->model_key;
-      const Target target = zoo_ != nullptr ? ResolveKey(key) : Resolve();
-      NoteDispatch(target);
+      const ZooPin pin = ResolveKey(admitted[order[g]]->model_key);
       std::vector<double> group_sels(queries.size());
       std::vector<uint8_t> group_degraded(queries.size(), 0);
-      ServeBatch(target, queries, group_sels.data(),
+      ServeBatch(pin, queries, group_sels.data(),
                  reinterpret_cast<bool*>(group_degraded.data()));
-      if (target.zoo_pin != nullptr) {
-        target.zoo_pin->NoteServed(static_cast<uint64_t>(queries.size()));
-      }
       for (size_t i = g; i < end; ++i) {
         sels[order[i]] = group_sels[i - g];
         degraded[order[i]] = group_degraded[i - g];
@@ -650,9 +512,8 @@ void ServingEngine::DispatchMicroBatch(std::vector<std::shared_ptr<Pending>> bat
       ++fusion_group_count_;
     }
     for (const auto& p : admitted) {
-      RecordLatencyLocked(std::chrono::duration_cast<std::chrono::microseconds>(
-                              done - p->enqueued)
-                              .count());
+      latency_.Record(
+          std::chrono::duration_cast<std::chrono::microseconds>(done - p->enqueued).count());
     }
   }
   for (size_t i = 0; i < expired.size(); ++i) {
@@ -670,31 +531,6 @@ void ServingEngine::DispatchMicroBatch(std::vector<std::shared_ptr<Pending>> bat
   }
 }
 
-void ServingEngine::RecordLatencyLocked(int64_t micros) {
-  if (micros < 0) micros = 0;
-  size_t bucket = 0;
-  while (bucket + 1 < latency_buckets_.size() && (micros >> bucket) > 0) ++bucket;
-  ++latency_buckets_[bucket];
-  ++latency_count_;
-}
-
-namespace {
-
-/// Upper bound of the histogram bucket containing quantile `q` (in [0, 1]).
-double BucketQuantile(const std::array<uint64_t, 40>& buckets, uint64_t count,
-                      double q) {
-  if (count == 0) return 0.0;
-  const double target = q * static_cast<double>(count);
-  double seen = 0.0;
-  for (size_t b = 0; b < buckets.size(); ++b) {
-    seen += static_cast<double>(buckets[b]);
-    if (seen >= target) return static_cast<double>(1LL << b);
-  }
-  return static_cast<double>(1LL << (buckets.size() - 1));
-}
-
-}  // namespace
-
 ServingStats ServingEngine::stats() const {
   int64_t depth = 0;
   {
@@ -705,9 +541,9 @@ ServingStats ServingEngine::stats() const {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     snapshot = stats_;
-    snapshot.latency_p50_us = BucketQuantile(latency_buckets_, latency_count_, 0.50);
-    snapshot.latency_p99_us = BucketQuantile(latency_buckets_, latency_count_, 0.99);
-    snapshot.latency_p999_us = BucketQuantile(latency_buckets_, latency_count_, 0.999);
+    snapshot.latency_p50_us = latency_.Quantile(0.50);
+    snapshot.latency_p99_us = latency_.Quantile(0.99);
+    snapshot.latency_p999_us = latency_.Quantile(0.999);
     if (fusion_group_count_ > 0) {
       // Exact median over fused-group sizes (the histogram is keyed by
       // size, so a linear walk is a handful of entries at most).
@@ -725,19 +561,6 @@ ServingStats ServingEngine::stats() const {
   snapshot.queue_depth = depth;
   snapshot.breaker_state =
       static_cast<uint64_t>(breaker_state_.load(std::memory_order_acquire));
-  // Point-in-time gauges, not counters: read from the serving model outside
-  // stats_mu_ (the caches and plan telemetry have their own locks/atomics).
-  // In registry mode this resolves the current snapshot, so the gauges
-  // describe what new dispatches would serve on. Zoo mode has no single
-  // serving model — per-model gauges live in ModelZoo::ModelStats — so the
-  // model gauges stay 0 there.
-  const Target target = Resolve();
-  if (target.estimator != nullptr) {
-    snapshot.packed_weight_bytes = target.estimator->PackedWeightBytes();
-    snapshot.plan_bytes = target.estimator->PlanBytes();
-    snapshot.plan_compile_micros = target.estimator->PlanCompileMicros();
-    snapshot.plan_cache_hits = target.estimator->PlanCacheHits();
-  }
   return snapshot;
 }
 

@@ -1,47 +1,34 @@
 // Concurrent serving engine: multi-threaded batch sharding, async
-// micro-batching, and zero-downtime hot swap of model snapshots.
+// micro-batching and keyed dispatch over a serve::ModelZoo.
 //
 // The paper's serving claim is twofold: estimation is cheap enough for
 // online use (Fig. 6/7), and *updates* are cheap too — drift is handled by
-// fine-tuning, not retraining (Sec. IV-A/IV-D). ServingEngine covers both:
+// fine-tuning, not retraining (Sec. IV-A/IV-D). ServingEngine covers the
+// first half; serve::ModelRegistry publishes fine-tuned models into the
+// same zoo the engine reads from (docs/serving.md §4), so an update is a
+// zoo re-register the engine picks up on its next dispatch.
 //
-//  * EstimateBatch(queries) shards a batch across a private worker pool.
-//    Shards split on query boundaries only, and the kernel invariant (per-
-//    row results are bitwise independent of batch size, see
+//  * EstimateBatch(key, queries) shards a batch across a private worker
+//    pool. Shards split on query boundaries only, and the kernel invariant
+//    (per-row results are bitwise independent of batch size, see
 //    docs/architecture.md) makes the sharded result bitwise equal to the
 //    single-thread batch path — parallelism is free of numeric drift.
-//  * Submit(query) -> Future enqueues one query into a micro-batching
+//  * Submit(key, query) -> Future enqueues one query into a micro-batching
 //    scheduler: pending queries are collected until `max_batch` of them are
-//    waiting or the oldest has waited `max_wait_us`, then dispatched as one
-//    sharded batch. This converts high-QPS single-query traffic into the
-//    batch shapes the engine is fast at.
-//  * Constructed over a serve::ModelRegistry, every dispatch resolves the
-//    current model snapshot with one atomic acquire-load and pins it for
-//    the batch's duration: in-flight batches finish on the snapshot they
-//    started on, new dispatches pick up the latest published snapshot, and
-//    a publish (background fine-tune, serve/update_worker.h) swaps models
-//    with NO quiesce and no lock on the estimate path. Each batch is served
-//    end-to-end by exactly one snapshot — never a mid-batch mix.
+//    waiting or the oldest has waited `max_wait_us`, then grouped by key and
+//    dispatched as one sharded batch per key.
+//  * Every dispatch resolves its key once and holds the resulting ZooPin
+//    for the batch's duration: in-flight batches finish on the artifact
+//    they started on, new dispatches pick up the latest registered one,
+//    and a re-register (a registry publish, a replica install) swaps models
+//    with no quiesce and no lock on the estimate path. Each batch is served
+//    end-to-end by exactly one artifact — never a mid-batch mix.
 //
-// Thread-safety contract:
-//  * EstimateBatch and Submit may be called concurrently from any number of
-//    client threads. Completion is tracked per call, never with a global
-//    pool barrier, so concurrent callers cannot observe each other.
-//  * Registry mode: parameter updates NEVER touch a served model. The
-//    update path clones the current snapshot, fine-tunes the clone, and
-//    publishes it as a new immutable snapshot whose caches are pinned
-//    (nn/layers.h); superseded snapshots retire when their last in-flight
-//    batch releases them. Training a clone concurrently with serving is
-//    safe by construction — the old "quiesce serving around training"
-//    rule survives only for fixed-estimator mode below.
-//  * Fixed-estimator mode (the estimator-reference constructor): the
-//    wrapped estimator must satisfy the CardinalityEstimator concurrency
-//    contract, and training / fine-tuning / checkpoint loading that
-//    estimator's model must not run while estimates are in flight — drain
-//    futures and stop issuing calls first. Parameter updates then
-//    invalidate the packed caches via tensor::BumpParameterVersion(), so
-//    serving resumed afterwards sees the new weights. Wrap a ModelRegistry
-//    instead to drop this restriction.
+// Thread-safety contract: EstimateBatch and Submit may be called
+// concurrently from any number of client threads. Completion is tracked per
+// call, never with a global pool barrier, so concurrent callers cannot
+// observe each other. Served models are immutable mapped artifacts, so no
+// caller-side quiesce rule exists.
 //
 // Resilience (docs/resilience.md): requests carry optional deadlines, the
 // async queue is optionally bounded with shed-on-full, a circuit breaker
@@ -52,7 +39,6 @@
 #ifndef DUET_SERVE_SERVING_ENGINE_H_
 #define DUET_SERVE_SERVING_ENGINE_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -65,18 +51,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/latency_histogram.h"
 #include "common/thread_pool.h"
 #include "query/estimator.h"
 #include "query/query.h"
-#include "tensor/packed_weights.h"
+#include "serve/model_zoo.h"
 
 namespace duet::serve {
-
-class ModelRegistry;
-class ModelSnapshot;
-class ModelZoo;
-class ZooHandle;
-class UpdateWorker;
 
 /// Serving engine knobs.
 struct ServingOptions {
@@ -90,22 +71,6 @@ struct ServingOptions {
   int64_t max_batch = 64;
   /// ...or when the oldest pending query has waited this long.
   int64_t max_wait_us = 200;
-  /// Packed-weight backend applied to the estimator at engine construction
-  /// (tensor/packed_weights.h). kDenseF32 keeps the bitwise-exact fp32
-  /// path; kCsrF32 streams only nonzero masked weights (also bitwise-
-  /// exact); kInt8 quarters batch-1 weight traffic at bounded accuracy
-  /// cost; kF16 halves it at a much tighter bound. Fixed-estimator mode
-  /// only: in registry mode the registry owns the configuration
-  /// (RegistryOptions::backend), so every snapshot serves under one
-  /// consistent setting and this field is ignored.
-  tensor::WeightBackend backend = tensor::WeightBackend::kDenseF32;
-  /// Compiled-plan execution (nn/inference_plan.h), applied like `backend`
-  /// at construction. On (the default), no-grad forwards run flattened
-  /// packed-op programs with the degree-sorted permutation —
-  /// bitwise-equal for dense/CSR, measurably faster at batch 1 (see
-  /// docs/benchmarks.md plan A/B). Ignored in registry mode
-  /// (RegistryOptions::compile_plans governs).
-  bool compile_plans = true;
   /// Admission control: async queries pending beyond this depth are shed —
   /// their Future completes immediately with a flagged fallback estimate,
   /// never blocking the caller. 0 = unbounded (no shedding).
@@ -120,9 +85,9 @@ struct ServingOptions {
   int64_t breaker_threshold = 5;
   int64_t breaker_cooldown_us = 50 * 1000;
   /// Cross-request GEMV→GEMM fusion: coalesce concurrent async submissions
-  /// that resolve to the same target (same snapshot; in zoo mode, same
-  /// model key) into ONE batched dispatch — a GEMM over the stacked feature
-  /// rows — instead of N independent batch-1 GEMVs. Per-request results are
+  /// for the same model key into ONE batched dispatch — a GEMM over the
+  /// stacked feature rows — instead of N independent batch-1 GEMVs.
+  /// Per-request results are
   /// bitwise identical either way (kernel batch invariance,
   /// docs/architecture.md §2); fusion buys the weight-reuse of the batched
   /// kernels, which is the dominant cost at batch 1. Off = the unfused A/B
@@ -149,7 +114,8 @@ struct Estimate {
 };
 
 /// Cumulative counters (monotone since construction), plus point-in-time
-/// gauges of the serving configuration's cache footprint and snapshot.
+/// gauges of the breaker and the async queue. Per-model gauges (resident
+/// bytes, loads, republishes) live in ModelZoo::ModelStats.
 struct ServingStats {
   uint64_t queries = 0;             ///< queries completed (sync + async)
   uint64_t sync_batches = 0;        ///< EstimateBatch client calls
@@ -157,34 +123,13 @@ struct ServingStats {
   uint64_t shards = 0;              ///< shard tasks run on the pool
   int64_t largest_micro_batch = 0;  ///< max async dispatch size observed
   /// Async queries served through a fused dispatch group (size >= 2): the
-  /// scheduler coalesced them with concurrent same-target requests into one
+  /// scheduler coalesced them with concurrent same-key requests into one
   /// batched GEMM execution instead of independent GEMVs. 0 with
   /// ServingOptions::fuse_requests off.
   uint64_t fused_requests = 0;
   /// Median fused-group size, over groups of size >= 2 (exact histogram,
   /// not log-bucketed; 0.0 until the first fused group dispatches).
   double fusion_batch_p50 = 0.0;
-  /// Snapshot id the most recent dispatch served on (0 in fixed-estimator
-  /// mode — there is no registry and no snapshot).
-  uint64_t snapshot_id = 0;
-  /// Dispatches that observed a different snapshot than the previous
-  /// dispatch did: the number of hot swaps traffic has crossed.
-  uint64_t snapshot_swaps = 0;
-  /// Observed-cardinality pairs routed through ReportObserved.
-  uint64_t feedback_reported = 0;
-  /// Bytes held by the serving model's packed-weight caches (including the
-  /// compiled plan's packs) when stats() was taken (0 until first
-  /// estimate); in registry mode, read from the current snapshot.
-  uint64_t packed_weight_bytes = 0;
-  /// Bytes held by compiled inference plans specifically (subset of
-  /// packed_weight_bytes; 0 with plans off).
-  uint64_t plan_bytes = 0;
-  /// Cumulative wall-clock microseconds the serving model spent compiling
-  /// inference plans (in registry mode: the current snapshot's model).
-  uint64_t plan_compile_micros = 0;
-  /// Cumulative no-grad forwards served from an already-compiled plan
-  /// (cache hits; 0 with plans off).
-  uint64_t plan_cache_hits = 0;
   /// Queries whose deadline expired before/during estimation (each also
   /// counts in fallback_served when answered by the fallback).
   uint64_t deadline_missed = 0;
@@ -204,19 +149,19 @@ struct ServingStats {
   int64_t queue_depth = 0;
   int64_t queue_high_water = 0;
   /// Submission-to-completion latency percentiles over admitted async
-  /// queries (log-bucketed histogram: values are bucket upper bounds, ~2x
-  /// resolution; 0 until the first async query completes). p999 is reported
-  /// at the same quantile set as the network front-end's NetStats
-  /// (src/net/net_stats.h), so in-process and wire latency are comparable.
+  /// queries (common/latency_histogram.h: values are bucket upper bounds,
+  /// ~2x resolution; 0 until the first async query completes). The network
+  /// front-end's NetStats uses the same histogram and quantile set, so
+  /// in-process and wire latency are comparable.
   double latency_p50_us = 0.0;
   double latency_p99_us = 0.0;
   double latency_p999_us = 0.0;
 };
 
-/// Shards batches across a private worker pool, micro-batches async
-/// single-query traffic, and (in registry mode) hot-swaps model snapshots
-/// under live traffic. One engine owns its workers and scheduler thread;
-/// destruction drains all pending async queries before joining.
+/// Shards keyed batches across a private worker pool and micro-batches
+/// async single-query traffic, serving every key from its pinned zoo
+/// artifact. One engine owns its workers and scheduler thread; destruction
+/// drains all pending async queries before joining.
 class ServingEngine {
   struct Pending;  // forward: shared slot between Future and scheduler
 
@@ -234,8 +179,8 @@ class ServingEngine {
     bool Ready() const;
 
     /// Blocks until the result is available and returns the selectivity
-    /// (exactly what EstimateSelectivityBatch would return for this query,
-    /// unless the result was degraded — check Result().degraded()).
+    /// (exactly what the key's artifact returns for this query, unless the
+    /// result was degraded — check Result().degraded()).
     /// Safe to call from multiple threads and more than once.
     double Wait() const;
 
@@ -249,25 +194,11 @@ class ServingEngine {
     std::shared_ptr<Pending> state_;
   };
 
-  /// Fixed-estimator mode: the estimator must outlive the engine and obey
-  /// the concurrency contract in query/estimator.h (including its quiesce
-  /// rule for parameter updates).
-  explicit ServingEngine(query::CardinalityEstimator& estimator, ServingOptions options = {});
-
-  /// Registry mode: every dispatch serves the registry's current snapshot;
-  /// publishes hot-swap under live traffic with no quiesce. The registry
-  /// must outlive the engine. ServingOptions::backend / compile_plans are
-  /// ignored (RegistryOptions governs them).
-  explicit ServingEngine(ModelRegistry& registry, ServingOptions options = {});
-
-  /// Zoo mode: requests are routed by model key through a serve::ModelZoo —
-  /// the keyed EstimateBatch/EstimateBatchEx/Submit overloads below resolve
-  /// (and pin) the named artifact model per dispatch; the key-less overloads
-  /// CHECK-fail. Dispatch pins are ZooPins, so a model serving an in-flight
-  /// batch is never evicted under it, and a key whose artifact fails to
-  /// load degrades that batch to the fallback (flagged) instead of
-  /// crashing. The zoo must outlive the engine. ServingOptions::backend /
-  /// compile_plans are ignored (artifacts are frozen at write time).
+  /// Requests are routed by model key through `zoo`: each dispatch resolves
+  /// (and pins) the key's artifact model, so a model serving an in-flight
+  /// batch is never evicted under it, and a key whose artifact fails to load
+  /// degrades that batch to the fallback (flagged) instead of crashing. The
+  /// zoo must outlive the engine.
   explicit ServingEngine(ModelZoo& zoo, ServingOptions options = {});
 
   /// Drains the async queue (every issued Future still completes), then
@@ -277,14 +208,15 @@ class ServingEngine {
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
 
-  /// Synchronous sharded estimation: splits `queries` into per-worker
-  /// shards on query boundaries and runs them concurrently. Returns exactly
-  /// what the serving model's EstimateSelectivityBatch(queries) returns
-  /// (bitwise), in order. Safe to call concurrently with other
-  /// EstimateBatch / Submit calls — and, in registry mode, with snapshot
-  /// publishes: the whole batch runs on the snapshot current at dispatch
-  /// (its id is written to *snapshot_id when non-null; 0 in fixed mode).
-  std::vector<double> EstimateBatch(const std::vector<query::Query>& queries,
+  /// Synchronous sharded estimation on `model_key`'s artifact (resolved and
+  /// pinned once per call): splits `queries` into per-worker shards on query
+  /// boundaries and runs them concurrently. Returns exactly what the
+  /// artifact's EstimateSelectivityBatch(queries) returns (bitwise), in
+  /// order; *snapshot_id (when non-null) receives the artifact fingerprint
+  /// the whole batch ran on. Safe to call concurrently with other
+  /// EstimateBatch / Submit calls and with re-registers of the key.
+  std::vector<double> EstimateBatch(const std::string& model_key,
+                                    const std::vector<query::Query>& queries,
                                     uint64_t* snapshot_id = nullptr);
 
   /// EstimateBatch with per-request resilience metadata. `deadline_us` is a
@@ -292,27 +224,18 @@ class ServingEngine {
   /// the caller's thread so the batch is always attempted, but results that
   /// arrive after the budget are flagged deadline_expired (and counted) so
   /// the caller knows the optimizer has moved on. Degraded queries (neural
-  /// failure, breaker open) carry fallback == true.
-  std::vector<Estimate> EstimateBatchEx(const std::vector<query::Query>& queries,
-                                        int64_t deadline_us = 0,
-                                        uint64_t* snapshot_id = nullptr);
-
-  /// Keyed variants for zoo mode: identical semantics, but the dispatch
-  /// serves the zoo model registered under `model_key` (resolved and pinned
-  /// once per call). In zoo mode *snapshot_id receives the artifact
-  /// fingerprint. Only valid on a zoo-mode engine.
-  std::vector<double> EstimateBatch(const std::string& model_key,
-                                    const std::vector<query::Query>& queries,
-                                    uint64_t* snapshot_id = nullptr);
+  /// failure, breaker open, unloadable key) carry fallback == true.
   std::vector<Estimate> EstimateBatchEx(const std::string& model_key,
                                         const std::vector<query::Query>& queries,
                                         int64_t deadline_us = 0,
                                         uint64_t* snapshot_id = nullptr);
 
   /// Asynchronous single-query estimation through the micro-batching
-  /// scheduler. The returned Future completes after the query's micro-batch
-  /// is dispatched and estimated; its value is identical to what the query
-  /// would get from EstimateBatch at that micro-batch's snapshot.
+  /// scheduler. The query joins the shared queue; at dispatch the scheduler
+  /// groups pending queries BY KEY and serves each group on its own pinned
+  /// artifact (one resolve per group, never a mid-group mix of models). The
+  /// returned Future's value is identical to what the query would get from
+  /// EstimateBatch on that artifact.
   ///
   /// `deadline_us` (relative to submission; 0 = options().default_deadline_us,
   /// and 0 again = none) bounds how long the query may wait: the scheduler
@@ -321,12 +244,6 @@ class ServingEngine {
   /// (options().max_queue) and full, the query is shed instead of enqueued:
   /// the Future completes immediately with a flagged fallback estimate —
   /// Submit never blocks on overload.
-  Future Submit(query::Query query, int64_t deadline_us = 0);
-
-  /// Keyed Submit for zoo mode: the query joins the shared micro-batching
-  /// queue; at dispatch the scheduler groups pending queries BY KEY and
-  /// serves each group on its own pinned zoo model (one resolve per group,
-  /// never a mid-group mix of models). Only valid on a zoo-mode engine.
   Future Submit(const std::string& model_key, query::Query query, int64_t deadline_us = 0);
 
   /// Completion-callback variant of Submit for event-driven callers (the
@@ -337,10 +254,6 @@ class ServingEngine {
   /// non-blocking (it runs inside the dispatch path); it must not call back
   /// into this engine. Identical routing, deadlines, shedding, fusion and
   /// stats to Submit().
-  void SubmitWithCallback(query::Query query, int64_t deadline_us,
-                          std::function<void(const Estimate&)> done);
-
-  /// Keyed SubmitWithCallback for zoo mode (the Submit key semantics).
   void SubmitWithCallback(const std::string& model_key, query::Query query,
                           int64_t deadline_us, std::function<void(const Estimate&)> done);
 
@@ -350,22 +263,6 @@ class ServingEngine {
   /// and counts them like queue-overflow sheds — the docs/resilience.md §2
   /// shed path without touching the async queue. Never blocks or throws.
   std::vector<Estimate> ShedBatch(const std::vector<query::Query>& queries);
-
-  /// True when dispatches are routed by model key (zoo mode) — callers must
-  /// use the keyed overloads; false for fixed/registry engines, whose
-  /// key-less overloads must be used instead.
-  bool keyed() const { return zoo_ != nullptr; }
-
-  /// Feedback hook (the adaptation input): reports the true cardinality the
-  /// execution engine observed for a served query. Routed to the attached
-  /// UpdateWorker's feedback buffer when one is attached, else to the
-  /// estimator's ObserveTrueCardinality hook. Cheap; serving-path safe.
-  void ReportObserved(const query::Query& query, double true_cardinality);
-
-  /// Attaches (or detaches, with nullptr) the update worker that receives
-  /// ReportObserved feedback. The worker must outlive the engine or be
-  /// detached first.
-  void AttachUpdateWorker(UpdateWorker* worker);
 
   /// Attaches (or detaches, with nullptr) the classical fallback estimator
   /// that answers degraded queries — typically one of the traditional
@@ -383,51 +280,26 @@ class ServingEngine {
   const ServingOptions& options() const { return options_; }
 
  private:
-  /// What one dispatch serves on: the estimator plus (registry mode) the
-  /// pinned snapshot keeping it alive for the batch's duration.
-  struct Target {
-    query::CardinalityEstimator* estimator = nullptr;
-    std::shared_ptr<const ModelSnapshot> pin;
-    /// Zoo mode: the pinned model (nullptr estimator + nullptr zoo_pin
-    /// means the key's artifact failed to load — serve the fallback).
-    std::shared_ptr<const ZooHandle> zoo_pin;
-    uint64_t snapshot_id = 0;
-  };
+  /// Pins `model_key`'s artifact model for one dispatch. A failed load
+  /// yields a null pin — the dispatch then degrades to the fallback, flagged.
+  ZooPin ResolveKey(const std::string& model_key) const;
 
-  /// Resolves the serving target for one dispatch: the fixed estimator, or
-  /// one acquire-load of the registry's current snapshot. Zoo mode returns
-  /// an empty target (keyed dispatches resolve through ResolveKey).
-  Target Resolve() const;
-
-  /// Zoo-mode resolve: pins `model_key`'s artifact model for the dispatch.
-  /// A failed load yields an empty target (estimator == nullptr) — the
-  /// dispatch then degrades to the fallback, flagged.
-  Target ResolveKey(const std::string& model_key) const;
-
-  /// Shared sync-batch implementation behind the keyed and key-less
-  /// EstimateBatchEx overloads.
-  std::vector<Estimate> EstimateBatchImpl(const std::string* model_key,
-                                          const std::vector<query::Query>& queries,
-                                          int64_t deadline_us, uint64_t* snapshot_id);
-
-  /// Shared Submit implementation behind the keyed and key-less overloads
-  /// (Future and callback flavours both funnel here; `done` may be empty).
+  /// Shared Submit implementation (Future and callback flavours both funnel
+  /// here; `done` may be empty).
   Future SubmitImpl(std::string model_key, query::Query query, int64_t deadline_us,
                     std::function<void(const Estimate&)> done);
 
-  /// Counts a dispatch against `target`'s snapshot (swap detection).
-  void NoteDispatch(const Target& target);
-
-  /// Runs `queries` sharded across the pool on `target`, writing into
+  /// Runs `queries` sharded across the pool on `pin`'s model, writing into
   /// out[0..n). A shard whose neural estimate throws is answered by the
   /// fallback (flagged in `degraded` when non-null) — the exception never
   /// escapes. Returns the number of failed shards.
-  int64_t EstimateSharded(const Target& target, const std::vector<query::Query>& queries,
+  int64_t EstimateSharded(const ZooPin& pin, const std::vector<query::Query>& queries,
                           double* out, bool* degraded);
 
-  /// Breaker-aware batch serve: full fallback when the breaker is open,
-  /// else EstimateSharded with the dispatch outcome fed back to the breaker.
-  void ServeBatch(const Target& target, const std::vector<query::Query>& queries,
+  /// Breaker-aware batch serve: full fallback when the pin is null or the
+  /// breaker is open, else EstimateSharded with the dispatch outcome fed
+  /// back to the breaker. Accounts the served queries on the pin.
+  void ServeBatch(const ZooPin& pin, const std::vector<query::Query>& queries,
                   double* out, bool* degraded);
 
   /// Answers queries[lo..lo+len) from the attached fallback estimator (0.0
@@ -448,14 +320,7 @@ class ServingEngine {
   /// Dispatches up to max_batch pending entries (caller holds no locks).
   void DispatchMicroBatch(std::vector<std::shared_ptr<Pending>> batch);
 
-  /// Records one admitted async query's submission-to-completion latency
-  /// into the log-bucketed histogram (caller holds stats_mu_).
-  void RecordLatencyLocked(int64_t micros);
-
-  query::CardinalityEstimator* fixed_estimator_ = nullptr;  // fixed mode
-  ModelRegistry* registry_ = nullptr;                       // registry mode
-  ModelZoo* zoo_ = nullptr;                                 // zoo mode
-  std::atomic<UpdateWorker*> feedback_{nullptr};
+  ModelZoo& zoo_;
   std::atomic<query::CardinalityEstimator*> fallback_{nullptr};
   ServingOptions options_;
   ThreadPool pool_;  // private: a shared/global pool would let concurrent
@@ -478,10 +343,8 @@ class ServingEngine {
 
   mutable std::mutex stats_mu_;
   ServingStats stats_;
-  /// Log-bucketed latency histogram: bucket b counts admitted async queries
-  /// with latency in [2^(b-1), 2^b) microseconds.
-  std::array<uint64_t, 40> latency_buckets_{};
-  uint64_t latency_count_ = 0;
+  /// Submission-to-completion latency of admitted async queries.
+  LatencyHistogram latency_;
   /// Exact histogram of fused dispatch-group sizes (size -> group count;
   /// sizes >= 2 only — bounded by max_batch, so the map stays tiny).
   /// Guarded by stats_mu_; stats() derives fusion_batch_p50 from it.

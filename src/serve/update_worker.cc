@@ -94,10 +94,11 @@ bool UpdateWorker::RunRound() {
       core::CloneAndFineTune(base->model(), train, holdout, options_.update);
 
   // Publish with bounded exponential backoff + jitter: Publish can throw
-  // (pack/plan compilation, allocation), and a throw consumes the model it
-  // was handed, so each attempt gets its own clone of the candidate. After
-  // the retry budget the candidate is abandoned — the registry keeps
-  // serving the previous snapshot and the next round starts fresh.
+  // (packing, plan compilation, a torn artifact write), and a throw
+  // consumes the model it was handed, so each attempt gets its own clone of
+  // the candidate. After the retry budget the candidate is abandoned — the
+  // zoo keeps serving the previous artifact and the next round starts
+  // fresh.
   bool published = false;
   uint64_t attempt_failures = 0;
   if (result.accepted) {

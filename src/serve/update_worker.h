@@ -8,8 +8,8 @@
 // pending, the worker clones the current snapshot, fine-tunes the clone on
 // the feedback (core::CloneAndFineTune), validates the candidate's median
 // Q-error on a holdout slice of pairs the tuning never saw, and either
-// publishes the candidate through the ModelRegistry (atomic hot swap — the
-// serving path never pauses) or rolls it back. Serving and adaptation thus
+// publishes the candidate through the ModelRegistry (a new artifact the
+// zoo hot-swaps in — the serving path never pauses) or rolls it back. Serving and adaptation thus
 // run on decoupled model instances that synchronize only at snapshot
 // publication.
 //
@@ -47,9 +47,10 @@ struct UpdateWorkerOptions {
   /// instead of the tuning set (deterministic split, so tests can reason
   /// about which pairs train and which validate). Must be >= 2.
   int64_t holdout_every = 4;
-  /// A failed Publish (it can throw: pack/plan compilation, allocation) is
-  /// retried up to this many times with bounded exponential backoff and
-  /// jitter before the round's candidate is abandoned (resilience.md §5).
+  /// A failed Publish (it can throw: packing, plan compilation, a torn
+  /// artifact write caught by validation) is retried up to this many times
+  /// with bounded exponential backoff and jitter before the round's
+  /// candidate is abandoned (resilience.md §5).
   int64_t publish_retries = 3;
   /// First retry delay; doubles per retry up to backoff_max_us. Jittered by
   /// a deterministic [0.5, 1.5) factor so synchronized workers desynchronize.
@@ -102,8 +103,9 @@ class UpdateWorker {
   UpdateWorker& operator=(const UpdateWorker&) = delete;
 
   /// Reports one observed (query, true cardinality) pair from served
-  /// traffic. Thread-safe and cheap; negative/NaN cardinalities are clamped
-  /// to 0. This is what ServingEngine::ReportObserved feeds.
+  /// traffic — the execution engine calls this after running a query the
+  /// registry's key served. Thread-safe and cheap; negative/NaN
+  /// cardinalities are clamped to 0.
   void AddFeedback(query::Query query, double true_cardinality);
 
   /// Runs one round on the caller's thread if at least min_feedback pairs

@@ -30,7 +30,7 @@ void Adam::Step() {
   // Bumps ParameterVersion() on scope exit — i.e. after the weights moved —
   // so a concurrent cache rebuild can never stamp half-updated weights with
   // the new version (served models are never stepped in place: online
-  // updates step a clone and publish it as a frozen snapshot).
+  // updates step a clone and publish it as a new artifact).
   ParameterMutationGuard mutation;
   ++t_;
   const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));

@@ -312,9 +312,10 @@ std::shared_ptr<const PackedWeights> PackWeights(const Tensor& w, WeightBackend 
                                                  const std::vector<int32_t>* perm) {
   DUET_CHECK_EQ(w.ndim(), 2);
   g_pack_calls.fetch_add(1, std::memory_order_relaxed);
-  // Fault point: repacking runs lazily on the first forward under a new
-  // backend/version — a failure here surfaces mid-estimate and must degrade
-  // that dispatch, not take the process down.
+  // Fault point: packing runs when a registry publish writes its artifact
+  // (and lazily on an in-memory model's first forward under a new
+  // backend/version) — a failure here must fail that publish or forward
+  // cleanly, not take the process down.
   serve::FaultInjector::MaybeThrow(serve::FaultPoint::kPackWeights,
                                    "injected weight-pack failure");
   auto packed = std::make_shared<PackedWeights>();

@@ -40,18 +40,6 @@ std::atomic<uint64_t> g_parameter_version{1};
 uint64_t ParameterVersion() { return g_parameter_version.load(std::memory_order_acquire); }
 void BumpParameterVersion() { g_parameter_version.fetch_add(1, std::memory_order_acq_rel); }
 
-namespace {
-// Starts at 1 so id 0 can mean "not a snapshot" in cache slots.
-std::atomic<uint64_t> g_next_snapshot_id{1};
-}  // namespace
-
-SnapshotStamp AcquireSnapshotStamp() {
-  SnapshotStamp stamp;
-  stamp.id = g_next_snapshot_id.fetch_add(1, std::memory_order_acq_rel);
-  stamp.parameter_version = ParameterVersion();
-  return stamp;
-}
-
 NoGradGuard::NoGradGuard() : prev_(t_grad_enabled) { t_grad_enabled = false; }
 NoGradGuard::~NoGradGuard() { t_grad_enabled = prev_; }
 bool NoGradGuard::GradEnabled() { return t_grad_enabled; }

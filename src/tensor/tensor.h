@@ -98,8 +98,8 @@ class InferenceArena {
 /// update racing an in-flight forward pass over the SAME storage still
 /// yields torn reads of the weights themselves. Serving therefore never
 /// mutates a served model in place: online updates train a clone and
-/// publish it as an immutable snapshot (serve/model_registry.h), and only
-/// code that owns a model exclusively may train it while it is being read.
+/// publish it as a new zoo artifact (serve/model_registry.h), and only code
+/// that owns a model exclusively may train it while it is being read.
 uint64_t ParameterVersion();
 void BumpParameterVersion();
 
@@ -117,29 +117,6 @@ class ParameterMutationGuard {
   ParameterMutationGuard(const ParameterMutationGuard&) = delete;
   ParameterMutationGuard& operator=(const ParameterMutationGuard&) = delete;
 };
-
-/// Identity of one immutable published model snapshot, layered on the
-/// version counter above: `id` is a process-unique monotonic snapshot
-/// number (never 0 — 0 marks "live/mutable model" in cache slots), and
-/// `parameter_version` records ParameterVersion() at freeze time, i.e. the
-/// version every parameter-derived cache of that snapshot is valid under.
-///
-/// This is what turns the process-global invalidation scheme into
-/// multi-version concurrency: a cache pinned to a SnapshotStamp stops
-/// comparing against the *moving* global counter (which a background
-/// fine-tune of a cloned model bumps on every optimizer step) and instead
-/// trusts the frozen version it was built under — valid forever, because a
-/// snapshot's weights never change after freeze. See
-/// nn::Module::FreezeInferenceCaches and serve/model_registry.h.
-struct SnapshotStamp {
-  uint64_t id = 0;
-  uint64_t parameter_version = 0;
-};
-
-/// Allocates the next snapshot id and pairs it with the current
-/// ParameterVersion(). Call only after the snapshot's weights are final.
-/// Thread-safe.
-SnapshotStamp AcquireSnapshotStamp();
 
 /// RAII guard disabling graph construction (inference mode).
 class NoGradGuard {

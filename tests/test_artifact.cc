@@ -33,6 +33,7 @@
 #include "serve/fault_injector.h"
 #include "serve/model_registry.h"
 #include "serve/model_zoo.h"
+#include "serving_bed.h"
 #include "tensor/packed_weights.h"
 
 namespace duet {
@@ -158,27 +159,27 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ArtifactRoundTripTest,
                            return "unknown";
                          });
 
-// ---- publish-path serialization: registry -> artifact -> same bits ----
+// ---- publish path: registry -> artifact -> zoo -> same bits ----
 
-TEST(ArtifactTest, RegistrySaveCurrentArtifactServesRegistryBits) {
+TEST(ArtifactTest, RegistryPublishServesRegistryBackendBits) {
   const data::Table table = SmallTable();
+  auto model = std::make_unique<core::DuetModel>(table, SmallModelOptions());
+  model->SetInferenceBackend(tensor::WeightBackend::kCsrF32);
+  const std::vector<Query> queries = MakeQueries(table, 64, 77);
+  const std::vector<double> expected = model->EstimateSelectivityBatch(queries);
+
   serve::RegistryOptions ropt;
   ropt.backend = tensor::WeightBackend::kCsrF32;
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(table, SmallModelOptions()), ropt);
-
-  const std::vector<Query> queries = MakeQueries(table, 64, 77);
-  const std::vector<double> expected =
-      registry.Current()->estimator().EstimateSelectivityBatch(queries);
-
-  const std::string path = TempPath("registry.duet");
-  const ArtifactStatus st = registry.SaveCurrentArtifact(path);
-  ASSERT_TRUE(st.ok) << st.error;
-  const std::shared_ptr<const artifact::ArtifactModel> loaded = LoadOk(path);
+  testbed::RegistryBed bed(std::move(model), {}, ropt);
+  const auto current = bed.registry.Current();
+  // The file the key points at loads with the registry's backend and serves
+  // the in-memory model's bits, as does the engine over the zoo.
+  const std::shared_ptr<const artifact::ArtifactModel> loaded = LoadOk(current->path());
   ASSERT_NE(loaded, nullptr);
-  const std::vector<double> actual = loaded->EstimateSelectivityBatch(queries);
-  for (size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(actual[i], expected[i]);
-  ::unlink(path.c_str());
+  EXPECT_EQ(loaded->backend(), tensor::WeightBackend::kCsrF32);
+  EXPECT_EQ(loaded->fingerprint(), current->id());
+  EXPECT_EQ(loaded->EstimateSelectivityBatch(queries), expected);
+  EXPECT_EQ(bed.engine.EstimateBatch(bed.key, queries), expected);
 }
 
 // ---- corruption battery ------------------------------------------------

@@ -24,6 +24,7 @@
 #include "nn/made.h"
 #include "query/workload.h"
 #include "serve/serving_engine.h"
+#include "serving_bed.h"
 #include "tensor/optimizer.h"
 #include "tensor/packed_weights.h"
 #include "tensor/tensor.h"
@@ -354,29 +355,30 @@ TEST_P(BackendTest, PackedCacheInvalidatedByCheckpointLoad) {
   EXPECT_EQ(fresh.EstimateSelectivityBatch(queries), after);
 }
 
-/// Sharded serving per backend: the engine applies its configured backend
-/// and stays bitwise-equal to the single-thread batch path (which, for
-/// int8, runs the same int8 kernels — invariance, not fp32 equality).
+/// Sharded serving per backend: an artifact written under the backend and
+/// served through the zoo stays bitwise-equal to the in-memory model's
+/// single-thread batch path under that backend (which, for int8, runs the
+/// same int8 kernels — invariance, not fp32 equality).
 TEST_P(BackendTest, ServingEngineShardsBitwiseUnderBackend) {
   const data::Table t = SmallTable();
   core::DuetModelOptions opt;
   opt.hidden_sizes = {32, 32};
   core::DuetModel model(t, opt);
+  model.SetInferenceBackend(GetParam());
   core::DuetEstimator est(model);
   serve::ServingOptions sopt;
   sopt.num_workers = 4;
   sopt.min_shard = 4;
-  sopt.backend = GetParam();
-  serve::ServingEngine engine(est, sopt);
+  testbed::ZooServeBed bed(model, sopt, GetParam());
   const std::vector<Query> queries = MakeQueries(t, 33);
 
-  const std::vector<double> sharded = engine.EstimateBatch(queries);
+  const std::vector<double> sharded = bed.engine.EstimateBatch(bed.key, queries);
   const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
   EXPECT_EQ(sharded, reference);
 
-  const serve::ServingStats stats = engine.stats();
-  EXPECT_GT(stats.packed_weight_bytes, 0u)
-      << "packed caches unpopulated after serving traffic";
+  serve::ZooModelStats ms;
+  ASSERT_TRUE(bed.zoo.ModelStats(bed.key, &ms));
+  EXPECT_GT(ms.bytes, 0u) << "served artifact not resident after serving traffic";
 }
 
 // ----- memory observability ------------------------------------------------
@@ -411,8 +413,8 @@ TEST(PackedCacheBytesTest, BackendFootprintsAreOrdered) {
 
 /// Every Made-backed estimator must forward backend selection and report
 /// its packed cache — not inherit the silent no-op defaults (a regression
-/// here means ServingOptions::backend is ignored and packed_weight_bytes
-/// reads 0 for that estimator).
+/// here means SetInferenceBackend is ignored and PackedWeightBytes() reads
+/// 0 for that estimator).
 TEST(PackedCacheBytesTest, NaruEstimatorForwardsBackendAndReportsBytes) {
   const data::Table t = data::CensusLike(200, 5);
   baselines::NaruOptions nopt;

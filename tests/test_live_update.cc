@@ -1,13 +1,15 @@
-// Online-update subsystem: immutable model snapshots must give every
-// dispatched batch bitwise snapshot isolation under concurrent publish
-// churn (no quiesce anywhere); pinned caches must ignore version bumps
-// from other models' training; a poisoned fine-tune batch must fail the
-// validation gate and roll back; and snapshot churn must not leak — the
-// refcounted live set collapses to the current snapshot once traffic
-// drains. Runs under ASan in CI like the rest of the suite.
+// Online-update subsystem: a registry publish writes a new versioned
+// artifact, validates it and re-registers the zoo key, and every dispatched
+// batch stays bitwise isolated on one version under concurrent publish
+// churn (no quiesce anywhere); a superseded file is unlinked while pins on
+// it keep serving; a poisoned fine-tune batch must fail the validation gate
+// and roll back; and publish churn must not leak — after traffic drains the
+// zoo holds only the current model and the directory only its file. Runs
+// under ASan in CI like the rest of the suite.
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -22,12 +24,14 @@
 #include "serve/model_registry.h"
 #include "serve/serving_engine.h"
 #include "serve/update_worker.h"
+#include "serving_bed.h"
 #include "tensor/tensor.h"
 
 namespace duet {
 namespace {
 
 using query::Query;
+using testbed::RegistryBed;
 
 data::Table SmallTable() { return data::CensusLike(600, 11); }
 
@@ -63,25 +67,59 @@ void PerturbParameters(core::DuetModel& model, int salt) {
   }
 }
 
-TEST(ModelRegistryTest, PublishSwapsCurrentAndStampsIncrease) {
+TEST(ModelRegistryTest, PublishWritesVersionedArtifactAndReregistersKey) {
   const data::Table t = SmallTable();
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  RegistryBed bed(std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  serve::ModelRegistry& registry = bed.registry;
   const auto first = registry.Current();
   ASSERT_NE(first, nullptr);
-  EXPECT_NE(first->id(), 0u);
+  EXPECT_EQ(first->path(), bed.dir.File("m.v1.duet"));
   EXPECT_EQ(registry.stats().published, 1u);
   EXPECT_EQ(registry.stats().current_id, first->id());
+  // The snapshot id is the fingerprint of the artifact the zoo serves.
+  EXPECT_EQ(bed.zoo.Acquire(bed.key)->fingerprint(), first->id());
 
   auto clone = registry.CloneCurrent();
   PerturbParameters(*clone, 3);
   const auto second = registry.Publish(std::move(clone));
-  EXPECT_GT(second->id(), first->id());
+  EXPECT_EQ(second->path(), bed.dir.File("m.v2.duet"));
+  EXPECT_NE(second->id(), first->id());
   EXPECT_EQ(registry.Current().get(), second.get());
   EXPECT_EQ(registry.stats().published, 2u);
-  // The superseded snapshot is still alive here only because `first` holds
-  // it.
-  EXPECT_EQ(registry.AliveSnapshots(), 2u);
+  EXPECT_EQ(bed.zoo.Acquire(bed.key)->fingerprint(), second->id());
+  // The superseded file is gone; only the served version stays on disk.
+  EXPECT_FALSE(std::filesystem::exists(first->path()));
+  EXPECT_TRUE(std::filesystem::exists(second->path()));
+  EXPECT_EQ(bed.dir.CountFiles(), 1u);
+  serve::ZooModelStats ms;
+  ASSERT_TRUE(bed.zoo.ModelStats(bed.key, &ms));
+  EXPECT_EQ(ms.republishes, 1u);
+  EXPECT_TRUE(ms.resident) << "publish warms the new artifact before returning";
+}
+
+// Unlinking the superseded file must not disturb a batch still pinned on
+// it: the pin keeps its mapping and serves the old version bitwise, while
+// new dispatches already serve the new one.
+TEST(ModelRegistryTest, SupersededFileUnlinkedWhileOldPinServesBitwise) {
+  const data::Table t = SmallTable();
+  RegistryBed bed(std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  const std::vector<Query> queries = MakeQueries(t, 24);
+  const auto v1 = bed.registry.Current();
+  const std::vector<double> v1_answers = v1->artifact().EstimateSelectivityBatch(queries);
+
+  const serve::ZooPin old_pin = bed.zoo.Acquire(bed.key);
+  auto clone = bed.registry.CloneCurrent();
+  PerturbParameters(*clone, 4);
+  const auto v2 = bed.registry.Publish(std::move(clone));
+  ASSERT_FALSE(std::filesystem::exists(v1->path()));
+
+  EXPECT_EQ(old_pin->fingerprint(), v1->id());
+  EXPECT_EQ(old_pin->estimator().EstimateSelectivityBatch(queries), v1_answers);
+  uint64_t id = 0;
+  const std::vector<double> served = bed.engine.EstimateBatch(bed.key, queries, &id);
+  EXPECT_EQ(id, v2->id());
+  EXPECT_EQ(served, v2->artifact().EstimateSelectivityBatch(queries));
+  EXPECT_NE(served, v1_answers);
 }
 
 TEST(ModelRegistryTest, CloneIsBitwiseIdenticalButIndependent) {
@@ -99,86 +137,34 @@ TEST(ModelRegistryTest, CloneIsBitwiseIdenticalButIndependent) {
   EXPECT_EQ(model.EstimateSelectivityBatch(queries), original);
 }
 
-// The multi-version cache rule: a frozen snapshot's pinned pack/plan caches
-// ignore the global version bumps another model's training emits — no
-// recompiles, no repacks, bitwise-stable estimates.
-TEST(LiveUpdateTest, PinnedCachesIgnoreForeignParameterBumps) {
-  const data::Table t = SmallTable();
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()));
-  const auto snap = registry.Current();
-  const std::vector<Query> queries = MakeQueries(t, 20);
-
-  const std::vector<double> before = snap->estimator().EstimateSelectivityBatch(queries);
-  const uint64_t compiles_before = snap->model().PlanInfo().compiles;
-  const uint64_t bytes_before = snap->model().CachedBytes();
-  ASSERT_GE(compiles_before, 1u);  // prewarm compiled the plan
-  ASSERT_GT(bytes_before, 0u);
-
-  // Foreign mutations: direct bumps plus a real training run on a separate
-  // model (every optimizer step bumps the global counter).
-  tensor::BumpParameterVersion();
-  core::DuetModel other(t, SmallModelOptions());
-  core::TrainOptions topt;
-  topt.epochs = 1;
-  topt.batch_size = 128;
-  core::DuetTrainer(other, topt).Train();
-  tensor::BumpParameterVersion();
-
-  EXPECT_EQ(snap->estimator().EstimateSelectivityBatch(queries), before);
-  EXPECT_EQ(snap->model().PlanInfo().compiles, compiles_before)
-      << "pinned plan cache recompiled on a foreign version bump";
-  EXPECT_EQ(snap->model().CachedBytes(), bytes_before);
-}
-
-// Same rule on the per-layer packed path (plans off, CSR backend): the
-// pinned PackedWeightsCache slots keep serving the frozen packs.
-TEST(LiveUpdateTest, PinnedPerLayerPacksIgnoreForeignBumpsWithPlansOff) {
-  const data::Table t = SmallTable();
-  serve::RegistryOptions ropt;
-  ropt.backend = tensor::WeightBackend::kCsrF32;
-  ropt.compile_plans = false;
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()), ropt);
-  const auto snap = registry.Current();
-  const std::vector<Query> queries = MakeQueries(t, 20);
-
-  const std::vector<double> before = snap->estimator().EstimateSelectivityBatch(queries);
-  const uint64_t bytes_before = snap->model().CachedBytes();
-  ASSERT_GT(bytes_before, 0u);
-  EXPECT_EQ(snap->model().PlanBytes(), 0u);
-
-  tensor::BumpParameterVersion();
-  EXPECT_EQ(snap->estimator().EstimateSelectivityBatch(queries), before);
-  EXPECT_EQ(snap->model().CachedBytes(), bytes_before);
-}
-
 TEST(LiveUpdateTest, HotSwapServesNewSnapshotWithoutQuiesce) {
   const data::Table t = SmallTable();
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()));
   serve::ServingOptions sopt;
   sopt.num_workers = 2;
   sopt.min_shard = 4;
-  serve::ServingEngine engine(registry, sopt);
+  RegistryBed bed(std::make_unique<core::DuetModel>(t, SmallModelOptions()), sopt);
+  serve::ModelRegistry& registry = bed.registry;
   const std::vector<Query> queries = MakeQueries(t, 30);
 
   uint64_t id_before = 0;
-  const std::vector<double> before = engine.EstimateBatch(queries, &id_before);
+  const std::vector<double> before = bed.engine.EstimateBatch(bed.key, queries, &id_before);
   EXPECT_EQ(id_before, registry.Current()->id());
-  // Sharded registry-mode serving still equals the single-thread path.
-  EXPECT_EQ(before, registry.Current()->estimator().EstimateSelectivityBatch(queries));
+  // Sharded serving equals the single-thread path over the same artifact.
+  EXPECT_EQ(before, registry.Current()->artifact().EstimateSelectivityBatch(queries));
 
   auto clone = registry.CloneCurrent();
   PerturbParameters(*clone, 5);
   registry.Publish(std::move(clone));
 
   uint64_t id_after = 0;
-  const std::vector<double> after = engine.EstimateBatch(queries, &id_after);
-  EXPECT_GT(id_after, id_before);
+  const std::vector<double> after = bed.engine.EstimateBatch(bed.key, queries, &id_after);
+  EXPECT_NE(id_after, id_before);
+  EXPECT_EQ(id_after, registry.Current()->id());
   EXPECT_NE(after, before) << "dispatch after publish still served the old snapshot";
-  EXPECT_EQ(after, registry.Current()->estimator().EstimateSelectivityBatch(queries));
-  EXPECT_GE(engine.stats().snapshot_swaps, 1u);
+  EXPECT_EQ(after, registry.Current()->artifact().EstimateSelectivityBatch(queries));
+  serve::ZooModelStats ms;
+  ASSERT_TRUE(bed.zoo.ModelStats(bed.key, &ms));
+  EXPECT_EQ(ms.republishes, 1u);
 }
 
 // The tentpole invariant: under repeated concurrent publishes, every batch
@@ -189,8 +175,11 @@ TEST(LiveUpdateTest, SnapshotIsolationUnderConcurrentPublishChurn) {
   const std::vector<Query> queries = MakeQueries(t, 48);
   constexpr int kPublishes = 6;
 
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  serve::ServingOptions sopt;
+  sopt.num_workers = 2;
+  sopt.min_shard = 8;
+  RegistryBed bed(std::make_unique<core::DuetModel>(t, SmallModelOptions()), sopt);
+  serve::ModelRegistry& registry = bed.registry;
 
   // Pre-build every future snapshot's model and its single-thread reference
   // so serving threads can verify against ground truth computed outside the
@@ -208,19 +197,14 @@ TEST(LiveUpdateTest, SnapshotIsolationUnderConcurrentPublishChurn) {
   std::mutex map_mu;
   std::map<uint64_t, int> id_to_ref;
   const int kInitialRef = kPublishes;
-  refs.push_back(registry.Current()->estimator().EstimateSelectivityBatch(queries));
+  refs.push_back(registry.Current()->artifact().EstimateSelectivityBatch(queries));
   id_to_ref[registry.Current()->id()] = kInitialRef;
-
-  serve::ServingOptions sopt;
-  sopt.num_workers = 2;
-  sopt.min_shard = 8;
-  serve::ServingEngine engine(registry, sopt);
 
   std::atomic<bool> failed{false};
   auto serve_loop = [&] {
     for (int iter = 0; iter < 40 && !failed.load(); ++iter) {
       uint64_t id = 0;
-      const std::vector<double> got = engine.EstimateBatch(queries, &id);
+      const std::vector<double> got = bed.engine.EstimateBatch(bed.key, queries, &id);
       int ref_index = -1;
       // The publisher records the id right after Publish returns; a reader
       // can observe the snapshot a moment earlier, so wait for the entry.
@@ -269,23 +253,21 @@ TEST(LiveUpdateTest, AsyncSubmitDuringChurnMatchesSomeSnapshot) {
   const std::vector<Query> queries = MakeQueries(t, 32);
   constexpr int kPublishes = 4;
 
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  serve::ServingOptions sopt;
+  sopt.num_workers = 2;
+  sopt.max_batch = 8;
+  sopt.max_wait_us = 100;
+  RegistryBed bed(std::make_unique<core::DuetModel>(t, SmallModelOptions()), sopt);
+  serve::ModelRegistry& registry = bed.registry;
   std::vector<std::unique_ptr<core::DuetModel>> models;
   std::vector<std::vector<double>> refs;
-  refs.push_back(registry.Current()->estimator().EstimateSelectivityBatch(queries));
+  refs.push_back(registry.Current()->artifact().EstimateSelectivityBatch(queries));
   for (int i = 0; i < kPublishes; ++i) {
     auto m = registry.CloneCurrent();
     PerturbParameters(*m, 11 + i);
     refs.push_back(m->EstimateSelectivityBatch(queries));
     models.push_back(std::move(m));
   }
-
-  serve::ServingOptions sopt;
-  sopt.num_workers = 2;
-  sopt.max_batch = 8;
-  sopt.max_wait_us = 100;
-  serve::ServingEngine engine(registry, sopt);
 
   std::vector<serve::ServingEngine::Future> futures;
   std::thread publisher([&] {
@@ -295,7 +277,7 @@ TEST(LiveUpdateTest, AsyncSubmitDuringChurnMatchesSomeSnapshot) {
     }
   });
   for (int round = 0; round < 6; ++round) {
-    for (const Query& q : queries) futures.push_back(engine.Submit(q));
+    for (const Query& q : queries) futures.push_back(bed.engine.Submit(bed.key, q));
   }
   publisher.join();
   for (size_t f = 0; f < futures.size(); ++f) {
@@ -327,11 +309,11 @@ TEST(LiveUpdateTest, RollbackOnPoisonedFineTuneBatch) {
     topt.batch_size = 128;
     core::DuetTrainer(*model, topt).Train();
   }
-  serve::ModelRegistry registry(std::move(model));
+  RegistryBed bed(std::move(model));
+  serve::ModelRegistry& registry = bed.registry;
   const uint64_t id_before = registry.Current()->id();
   const std::vector<Query> probe = MakeQueries(t, 20);
-  const std::vector<double> before =
-      registry.Current()->estimator().EstimateSelectivityBatch(probe);
+  const std::vector<double> before = bed.engine.EstimateBatch(bed.key, probe);
 
   query::WorkloadSpec spec;
   spec.num_queries = 64;
@@ -368,15 +350,17 @@ TEST(LiveUpdateTest, RollbackOnPoisonedFineTuneBatch) {
             stats.last_holdout_before * wopt.update.max_regression);
   // The poisoned candidate never reached serving.
   EXPECT_EQ(registry.Current()->id(), id_before);
-  EXPECT_EQ(registry.Current()->estimator().EstimateSelectivityBatch(probe), before);
+  uint64_t served_id = 0;
+  EXPECT_EQ(bed.engine.EstimateBatch(bed.key, probe, &served_id), before);
+  EXPECT_EQ(served_id, id_before);
 }
 
 // Honest feedback on an untrained model must clear the gate and hot-swap a
 // better snapshot in.
 TEST(LiveUpdateTest, WorkerPublishesWhenFeedbackImproves) {
   const data::Table t = SmallTable();
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  RegistryBed bed(std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  serve::ModelRegistry& registry = bed.registry;
   const uint64_t id_before = registry.Current()->id();
 
   query::WorkloadSpec spec;
@@ -399,7 +383,10 @@ TEST(LiveUpdateTest, WorkerPublishesWhenFeedbackImproves) {
                                  << " after=" << stats.last_holdout_after;
   EXPECT_LE(stats.last_holdout_after,
             stats.last_holdout_before * wopt.update.max_regression);
-  EXPECT_GT(registry.Current()->id(), id_before);
+  EXPECT_NE(registry.Current()->id(), id_before);
+  uint64_t served_id = 0;
+  bed.engine.EstimateBatch(bed.key, MakeQueries(t, 4), &served_id);
+  EXPECT_EQ(served_id, registry.Current()->id()) << "the zoo key serves the published version";
   // Clone accounting: a publishing round peaks at candidate + publish clone
   // — exactly 2x the model's parameter bytes with the direct-copy
   // CloneModel (the old serialize/deserialize path added a transient
@@ -409,37 +396,10 @@ TEST(LiveUpdateTest, WorkerPublishesWhenFeedbackImproves) {
   EXPECT_EQ(stats.clone_peak_bytes, 2 * model_bytes);
 }
 
-// Arena warm-up (RegistryOptions::prewarm_arena_batch): Publish's prewarm
-// also runs one batch-shaped pass, so the first post-swap batch served from
-// the publisher's thread draws every activation buffer from the warmed
-// thread-local InferenceArena pools instead of heap-allocating. The arena
-// is thread-local, so the assertion runs on the publishing thread (worker
-// threads warm their own pools on first traffic).
-TEST(LiveUpdateTest, PrewarmPopulatesPublisherArenaForFirstPostSwapBatch) {
-  const data::Table t = SmallTable();
-  serve::RegistryOptions ropt;
-  ropt.prewarm_arena_batch = 16;
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()), ropt);
-  const std::vector<Query> queries = MakeQueries(t, 16);
-
-  auto clone = registry.CloneCurrent();
-  PerturbParameters(*clone, 5);
-  tensor::InferenceArena::Clear();  // cold pools: prove Publish rewarms them
-  const auto snap = registry.Publish(std::move(clone));
-  tensor::InferenceArena::ResetStats();
-  snap->estimator().EstimateSelectivityBatch(queries);
-  const tensor::InferenceArena::Stats stats = tensor::InferenceArena::stats();
-  EXPECT_EQ(stats.fresh_allocs, 0u)
-      << "first post-swap batch on the publisher thread paid allocation";
-  EXPECT_GT(stats.reuses, 0u);
-  tensor::InferenceArena::Clear();
-}
-
 TEST(LiveUpdateTest, OverflowedFeedbackIsDroppedOldestFirstAndCounted) {
   const data::Table t = SmallTable();
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  RegistryBed bed(std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  serve::ModelRegistry& registry = bed.registry;
 
   serve::UpdateWorkerOptions wopt;
   wopt.min_feedback = 8;
@@ -460,60 +420,32 @@ TEST(LiveUpdateTest, OverflowedFeedbackIsDroppedOldestFirstAndCounted) {
   EXPECT_EQ(worker.pending_feedback(), 8);
 }
 
-TEST(LiveUpdateTest, EngineRoutesObservedFeedbackToWorker) {
-  const data::Table t = SmallTable();
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()));
-  serve::UpdateWorkerOptions wopt;
-  wopt.min_feedback = 1000;  // never triggers a round here
-  serve::UpdateWorker worker(registry, wopt);
-  serve::ServingEngine engine(registry, {});
-  engine.AttachUpdateWorker(&worker);
-
-  const std::vector<Query> queries = MakeQueries(t, 10);
-  engine.EstimateBatch(queries);
-  for (const Query& q : queries) engine.ReportObserved(q, 42.0);
-
-  EXPECT_EQ(worker.pending_feedback(), 10);
-  EXPECT_EQ(worker.stats().feedback_received, 10u);
-  EXPECT_EQ(engine.stats().feedback_reported, 10u);
-
-  // Detached: feedback falls through to the estimator hook (a no-op for
-  // Duet) instead of the buffer.
-  engine.AttachUpdateWorker(nullptr);
-  engine.ReportObserved(queries[0], 42.0);
-  EXPECT_EQ(worker.pending_feedback(), 10);
-  EXPECT_EQ(engine.stats().feedback_reported, 11u);
-}
-
-// Churn must not leak snapshots: once traffic drains and external handles
-// drop, only the current snapshot survives (the refcount IS the liveness
-// rule).
+// Churn must not leak: once traffic drains, the zoo holds only the current
+// model (superseded mappings die with their last pin) and the artifact
+// directory only the current file (superseded files are unlinked).
 TEST(LiveUpdateTest, NoLeakedSnapshotsAfterChurn) {
   const data::Table t = SmallTable();
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  serve::ServingOptions sopt;
+  sopt.num_workers = 2;
+  sopt.min_shard = 8;
+  RegistryBed bed(std::make_unique<core::DuetModel>(t, SmallModelOptions()), sopt);
+  serve::ModelRegistry& registry = bed.registry;
   const std::vector<Query> queries = MakeQueries(t, 24);
   constexpr int kPublishes = 8;
 
-  {
-    serve::ServingOptions sopt;
-    sopt.num_workers = 2;
-    sopt.min_shard = 8;
-    serve::ServingEngine engine(registry, sopt);
-    std::thread client([&] {
-      for (int i = 0; i < 60; ++i) engine.EstimateBatch(queries);
-    });
-    for (int i = 0; i < kPublishes; ++i) {
-      auto clone = registry.CloneCurrent();
-      PerturbParameters(*clone, 20 + i);
-      registry.Publish(std::move(clone));  // returned handle dropped at once
-    }
-    client.join();
-  }  // engine destruction drains every in-flight pin
+  std::thread client([&] {
+    for (int i = 0; i < 60; ++i) bed.engine.EstimateBatch(bed.key, queries);
+  });
+  for (int i = 0; i < kPublishes; ++i) {
+    auto clone = registry.CloneCurrent();
+    PerturbParameters(*clone, 20 + i);
+    registry.Publish(std::move(clone));  // returned handle dropped at once
+  }
+  client.join();
 
-  EXPECT_EQ(registry.AliveSnapshots(), 1u)
-      << "superseded snapshots still referenced after traffic drained";
+  EXPECT_EQ(bed.zoo.AliveSnapshots(), 1u)
+      << "superseded models still mapped after traffic drained";
+  EXPECT_EQ(bed.dir.CountFiles(), 1u) << "superseded artifact files left on disk";
   EXPECT_EQ(registry.stats().published, static_cast<uint64_t>(kPublishes) + 1);
   EXPECT_EQ(registry.stats().current_id, registry.Current()->id());
 }
@@ -523,8 +455,10 @@ TEST(LiveUpdateTest, NoLeakedSnapshotsAfterChurn) {
 // engine must observe the swap.
 TEST(LiveUpdateTest, BackgroundWorkerAdaptsUnderLiveTraffic) {
   const data::Table t = SmallTable();
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  serve::ServingOptions sopt;
+  sopt.num_workers = 2;
+  RegistryBed bed(std::make_unique<core::DuetModel>(t, SmallModelOptions()), sopt);
+  serve::ModelRegistry& registry = bed.registry;
   serve::UpdateWorkerOptions wopt;
   wopt.min_feedback = 48;
   wopt.update.finetune.qerror_threshold = 1.5;
@@ -533,10 +467,6 @@ TEST(LiveUpdateTest, BackgroundWorkerAdaptsUnderLiveTraffic) {
                                       // is under test here
   serve::UpdateWorker worker(registry, wopt);
   worker.Start();
-  serve::ServingOptions sopt;
-  sopt.num_workers = 2;
-  serve::ServingEngine engine(registry, sopt);
-  engine.AttachUpdateWorker(&worker);
 
   query::WorkloadSpec spec;
   spec.num_queries = 48;
@@ -548,9 +478,9 @@ TEST(LiveUpdateTest, BackgroundWorkerAdaptsUnderLiveTraffic) {
   // Serve + report until the background worker publishes (bounded wait).
   bool published = false;
   for (int round = 0; round < 200 && !published; ++round) {
-    engine.EstimateBatch(queries);
+    bed.engine.EstimateBatch(bed.key, queries);
     for (const auto& lq : wl) {
-      engine.ReportObserved(lq.query, static_cast<double>(lq.cardinality));
+      worker.AddFeedback(lq.query, static_cast<double>(lq.cardinality));
     }
     published = worker.stats().published + worker.stats().rolled_back +
                     worker.stats().skipped >
@@ -564,7 +494,7 @@ TEST(LiveUpdateTest, BackgroundWorkerAdaptsUnderLiveTraffic) {
   // see the new snapshot.
   if (stats.published > 0) {
     uint64_t id = 0;
-    engine.EstimateBatch(queries, &id);
+    bed.engine.EstimateBatch(bed.key, queries, &id);
     EXPECT_EQ(id, registry.Current()->id());
   }
 }

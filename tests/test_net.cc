@@ -14,19 +14,27 @@
 //    deadline_expired, budget overflows arrive flagged shed + fallback,
 //    and service recovers immediately after;
 //  * replication ships the primary's current snapshot to a replica that
-//    serves bitwise-equal estimates; a torn or corrupted transfer leaves
-//    the replica serving its OLD snapshot (fault-injection tested).
+//    serves bitwise-equal estimates — both nodes run the same zoo engine —
+//    and the shipped id is always the shipped artifact's fingerprint, even
+//    under publish churn; a torn or corrupted transfer leaves the replica
+//    serving its OLD snapshot (fault-injection tested).
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "baselines/traditional/independence.h"
 #include "common/rng.h"
 #include "common/serialize.h"
@@ -44,6 +52,7 @@
 #include "serve/model_registry.h"
 #include "serve/model_zoo.h"
 #include "serve/serving_engine.h"
+#include "serving_bed.h"
 
 namespace duet {
 namespace {
@@ -56,6 +65,9 @@ using net::RingBuffer;
 using net::RpcClient;
 using net::WireStatus;
 using query::Query;
+
+/// The zoo key every served model is registered under in this suite.
+constexpr const char* kKey = "census";
 
 data::Table SmallTable() { return data::CensusLike(300, 13); }
 
@@ -88,16 +100,16 @@ class NetTest : public ::testing::Test {
   void TearDown() override { serve::FaultInjector::DisarmAll(); }
 };
 
-/// Fixed-estimator serving bed: one tiny model behind an engine with the
-/// classical fallback attached, served by a NetServer on an ephemeral
-/// loopback port.
+/// Serving bed: one tiny model written as an artifact and served under
+/// kKey by a zoo engine with the classical fallback attached, behind a
+/// NetServer on an ephemeral loopback port.
 struct ServeBed {
   explicit ServeBed(serve::ServingOptions serving = {}, NetServerOptions net = {})
       : table(SmallTable()),
         model(table, SmallModelOptions(7)),
-        estimator(model),
         fallback(table),
-        engine(estimator, serving),
+        zoo_bed(model, serving, tensor::WeightBackend::kDenseF32, kKey),
+        engine(zoo_bed.engine),
         server(engine, std::move(net)) {
     engine.AttachFallback(&fallback);
     const WireStatus st = server.Start();
@@ -114,9 +126,9 @@ struct ServeBed {
 
   data::Table table;
   core::DuetModel model;
-  core::DuetEstimator estimator;
   baselines::IndependenceEstimator fallback;
-  serve::ServingEngine engine;
+  testbed::ZooServeBed zoo_bed;
+  serve::ServingEngine& engine;
   NetServer server;
 };
 
@@ -245,11 +257,11 @@ TEST(NetWire, HeaderRejectsEveryCorruption) {
 TEST_F(NetTest, LoopbackBitwiseEqualsInProcess) {
   ServeBed bed;
   const std::vector<Query> queries = MakeQueries(bed.table, 64);
-  const std::vector<double> reference = bed.engine.EstimateBatch(queries);
+  const std::vector<double> reference = bed.engine.EstimateBatch(kKey, queries);
 
   RpcClient client = bed.Connect();
   std::vector<serve::Estimate> wire;
-  const WireStatus st = client.EstimateBatch("", queries, 0, &wire);
+  const WireStatus st = client.EstimateBatch(kKey, queries, 0, &wire);
   ASSERT_TRUE(st.ok) << st.error;
   ASSERT_EQ(wire.size(), reference.size());
   for (size_t i = 0; i < wire.size(); ++i) {
@@ -271,11 +283,11 @@ TEST_F(NetTest, WireBatchingFeedsMicroBatchFusion) {
   serving.max_wait_us = 5000;
   ServeBed bed(serving);
   const std::vector<Query> queries = MakeQueries(bed.table, 64);
-  const std::vector<double> reference = bed.engine.EstimateBatch(queries);
+  const std::vector<double> reference = bed.engine.EstimateBatch(kKey, queries);
 
   RpcClient client = bed.Connect();
   std::vector<serve::Estimate> wire;
-  ASSERT_TRUE(client.EstimateBatch("", queries, 0, &wire).ok);
+  ASSERT_TRUE(client.EstimateBatch(kKey, queries, 0, &wire).ok);
   for (size_t i = 0; i < wire.size(); ++i) EXPECT_EQ(wire[i].selectivity, reference[i]);
 
   // The 64 queries of the single wire frame reached the engine as async
@@ -288,7 +300,7 @@ TEST_F(NetTest, WireBatchingFeedsMicroBatchFusion) {
 TEST_F(NetTest, ConcurrentClientsAllBitwiseCorrect) {
   ServeBed bed;
   const std::vector<Query> queries = MakeQueries(bed.table, 32);
-  const std::vector<double> reference = bed.engine.EstimateBatch(queries);
+  const std::vector<double> reference = bed.engine.EstimateBatch(kKey, queries);
 
   constexpr int kClients = 4;
   constexpr int kRounds = 8;
@@ -303,7 +315,7 @@ TEST_F(NetTest, ConcurrentClientsAllBitwiseCorrect) {
       }
       for (int r = 0; r < kRounds; ++r) {
         std::vector<serve::Estimate> wire;
-        if (!client.EstimateBatch("", queries, 0, &wire).ok ||
+        if (!client.EstimateBatch(kKey, queries, 0, &wire).ok ||
             wire.size() != reference.size()) {
           failures.fetch_add(1);
           return;
@@ -355,7 +367,7 @@ std::string RawFrame(uint32_t magic, uint16_t version, uint16_t type, uint32_t p
 TEST_F(NetTest, CorruptionBatteryDropsOnlyTheOffender) {
   ServeBed bed;
   const std::vector<Query> queries = MakeQueries(bed.table, 8);
-  const std::vector<double> reference = bed.engine.EstimateBatch(queries);
+  const std::vector<double> reference = bed.engine.EstimateBatch(kKey, queries);
 
   // A healthy long-lived connection that must survive every attack below.
   RpcClient survivor = bed.Connect();
@@ -409,7 +421,7 @@ TEST_F(NetTest, CorruptionBatteryDropsOnlyTheOffender) {
     // ...while the survivor connection keeps serving bitwise-correct
     // estimates and the server accepts fresh clients.
     std::vector<serve::Estimate> wire;
-    ASSERT_TRUE(survivor.EstimateBatch("", queries, 0, &wire).ok);
+    ASSERT_TRUE(survivor.EstimateBatch(kKey, queries, 0, &wire).ok);
     for (size_t i = 0; i < wire.size(); ++i) EXPECT_EQ(wire[i].selectivity, reference[i]);
   }
 
@@ -422,7 +434,7 @@ TEST_F(NetTest, CorruptionBatteryDropsOnlyTheOffender) {
     ASSERT_TRUE(attacker.SendRaw(frame.data(), frame.size() - 7).ok);
     attacker.Close();
     std::vector<serve::Estimate> wire;
-    ASSERT_TRUE(survivor.EstimateBatch("", queries, 0, &wire).ok);
+    ASSERT_TRUE(survivor.EstimateBatch(kKey, queries, 0, &wire).ok);
     for (size_t i = 0; i < wire.size(); ++i) EXPECT_EQ(wire[i].selectivity, reference[i]);
   }
 
@@ -444,7 +456,7 @@ TEST_F(NetTest, DeadlineExpiresOverTheWire) {
 
   RpcClient client = bed.Connect();
   std::vector<serve::Estimate> wire;
-  const WireStatus st = client.EstimateBatch("", queries, /*deadline_us=*/1, &wire);
+  const WireStatus st = client.EstimateBatch(kKey, queries, /*deadline_us=*/1, &wire);
   ASSERT_TRUE(st.ok) << st.error;
   ASSERT_EQ(wire.size(), queries.size());
   for (const serve::Estimate& e : wire) {
@@ -458,13 +470,13 @@ TEST_F(NetTest, BudgetOverflowShedsWholeFrameAndRecovers) {
   net_options.max_connection_inflight = 32;
   ServeBed bed({}, net_options);
   const std::vector<Query> queries = MakeQueries(bed.table, 64);
-  const std::vector<double> reference = bed.engine.EstimateBatch(queries);
+  const std::vector<double> reference = bed.engine.EstimateBatch(kKey, queries);
 
   RpcClient client = bed.Connect();
   // 64 queries > the 32-query budget: the whole frame is shed through the
   // engine's fallback path, flagged on the wire.
   std::vector<serve::Estimate> wire;
-  ASSERT_TRUE(client.EstimateBatch("", queries, 0, &wire).ok);
+  ASSERT_TRUE(client.EstimateBatch(kKey, queries, 0, &wire).ok);
   ASSERT_EQ(wire.size(), queries.size());
   for (const serve::Estimate& e : wire) {
     EXPECT_TRUE(e.shed);
@@ -474,7 +486,7 @@ TEST_F(NetTest, BudgetOverflowShedsWholeFrameAndRecovers) {
 
   // Within budget, the same connection immediately serves normally again.
   const std::vector<Query> small(queries.begin(), queries.begin() + 16);
-  ASSERT_TRUE(client.EstimateBatch("", small, 0, &wire).ok);
+  ASSERT_TRUE(client.EstimateBatch(kKey, small, 0, &wire).ok);
   ASSERT_EQ(wire.size(), small.size());
   for (size_t i = 0; i < wire.size(); ++i) {
     EXPECT_FALSE(wire[i].shed);
@@ -482,29 +494,35 @@ TEST_F(NetTest, BudgetOverflowShedsWholeFrameAndRecovers) {
   }
 }
 
-TEST_F(NetTest, KeyRoutingMismatchIsACleanErrorNotADrop) {
-  ServeBed bed;  // fixed-estimator engine: not keyed
+TEST_F(NetTest, EmptyKeyIsACleanErrorNotADrop) {
+  ServeBed bed;
   const std::vector<Query> queries = MakeQueries(bed.table, 4);
   RpcClient client = bed.Connect();
   std::vector<serve::Estimate> wire;
-  const WireStatus st = client.EstimateBatch("some-model", queries, 0, &wire);
+  const WireStatus st = client.EstimateBatch("", queries, 0, &wire);
   EXPECT_FALSE(st.ok);  // clean kError response...
-  ASSERT_TRUE(client.EstimateBatch("", queries, 0, &wire).ok);  // ...connection intact
+  ASSERT_TRUE(client.EstimateBatch(kKey, queries, 0, &wire).ok);  // ...connection intact
   EXPECT_EQ(bed.server.stats().protocol_errors, 0u);
+  // An unknown key is not an error at all: the engine degrades it to the
+  // fallback, flagged, exactly as in-process.
+  ASSERT_TRUE(client.EstimateBatch("no-such-model", queries, 0, &wire).ok);
+  for (const serve::Estimate& e : wire) EXPECT_TRUE(e.fallback);
 }
 
 // ---------------------------------------------------------------------------
 // Snapshot replication
 // ---------------------------------------------------------------------------
 
-/// Primary/replica bed: a registry-mode primary serving + publishing, a
-/// zoo-mode replica, and the artifact paths wired for replication.
+/// Primary/replica bed: a primary whose registry publishes into the zoo its
+/// engine serves, a replica zoo + engine, and the artifact paths wired for
+/// replication. Both nodes run the same engine over the same key.
 struct ReplicationBed {
   ReplicationBed()
       : table(SmallTable()),
         queries(MakeQueries(table, 32)),
-        registry(std::make_unique<core::DuetModel>(table, SmallModelOptions(11))),
-        primary_engine(registry),
+        primary(std::make_unique<core::DuetModel>(table, SmallModelOptions(11)), {}, {}, kKey),
+        registry(primary.registry),
+        primary_engine(primary.engine),
         primary_server(primary_engine),
         replica_path(TempPath("replica")),
         replica_engine(zoo) {
@@ -527,8 +545,9 @@ struct ReplicationBed {
 
   data::Table table;
   std::vector<Query> queries;
-  serve::ModelRegistry registry;
-  serve::ServingEngine primary_engine;
+  testbed::RegistryBed primary;
+  serve::ModelRegistry& registry;
+  serve::ServingEngine& primary_engine;
   NetServer primary_server;
   std::string replica_path;
   serve::ModelZoo zoo;
@@ -539,11 +558,11 @@ TEST_F(NetTest, ReplicationServesBitwiseEqualEstimates) {
   ReplicationBed bed;
   RpcClient client = bed.Connect();
   const WireStatus st =
-      net::ReplicateSnapshot(client, bed.zoo, "census", bed.replica_path);
+      net::ReplicateSnapshot(client, bed.zoo, kKey, bed.replica_path);
   ASSERT_TRUE(st.ok) << st.error;
 
-  const std::vector<double> primary = bed.primary_engine.EstimateBatch(bed.queries);
-  const std::vector<double> replica = bed.replica_engine.EstimateBatch("census", bed.queries);
+  const std::vector<double> primary = bed.primary_engine.EstimateBatch(kKey, bed.queries);
+  const std::vector<double> replica = bed.replica_engine.EstimateBatch(kKey, bed.queries);
   ASSERT_EQ(primary.size(), replica.size());
   for (size_t i = 0; i < primary.size(); ++i) {
     EXPECT_EQ(primary[i], replica[i]) << "query " << i;  // bitwise
@@ -557,17 +576,17 @@ TEST_F(NetTest, ReplicationServesBitwiseEqualEstimates) {
 TEST_F(NetTest, RepublishThenReplicateTracksThePrimary) {
   ReplicationBed bed;
   RpcClient client = bed.Connect();
-  ASSERT_TRUE(net::ReplicateSnapshot(client, bed.zoo, "census", bed.replica_path).ok);
-  const std::vector<double> v0 = bed.replica_engine.EstimateBatch("census", bed.queries);
+  ASSERT_TRUE(net::ReplicateSnapshot(client, bed.zoo, kKey, bed.replica_path).ok);
+  const std::vector<double> v0 = bed.replica_engine.EstimateBatch(kKey, bed.queries);
 
   // Primary publishes a DIFFERENT model (fresh seed): its estimates move.
   bed.registry.Publish(std::make_unique<core::DuetModel>(bed.table, SmallModelOptions(23)));
-  const std::vector<double> primary_v1 = bed.primary_engine.EstimateBatch(bed.queries);
+  const std::vector<double> primary_v1 = bed.primary_engine.EstimateBatch(kKey, bed.queries);
   ASSERT_NE(primary_v1, v0);
 
   // Re-replicate: the replica hot-swaps onto the new snapshot.
-  ASSERT_TRUE(net::ReplicateSnapshot(client, bed.zoo, "census", bed.replica_path).ok);
-  const std::vector<double> replica_v1 = bed.replica_engine.EstimateBatch("census", bed.queries);
+  ASSERT_TRUE(net::ReplicateSnapshot(client, bed.zoo, kKey, bed.replica_path).ok);
+  const std::vector<double> replica_v1 = bed.replica_engine.EstimateBatch(kKey, bed.queries);
   for (size_t i = 0; i < replica_v1.size(); ++i) {
     EXPECT_EQ(replica_v1[i], primary_v1[i]) << "query " << i;
   }
@@ -577,8 +596,8 @@ TEST_F(NetTest, RepublishThenReplicateTracksThePrimary) {
 TEST_F(NetTest, TornTransferLeavesReplicaOnOldSnapshot) {
   ReplicationBed bed;
   RpcClient client = bed.Connect();
-  ASSERT_TRUE(net::ReplicateSnapshot(client, bed.zoo, "census", bed.replica_path).ok);
-  const std::vector<double> v0 = bed.replica_engine.EstimateBatch("census", bed.queries);
+  ASSERT_TRUE(net::ReplicateSnapshot(client, bed.zoo, kKey, bed.replica_path).ok);
+  const std::vector<double> v0 = bed.replica_engine.EstimateBatch(kKey, bed.queries);
 
   bed.registry.Publish(std::make_unique<core::DuetModel>(bed.table, SmallModelOptions(23)));
 
@@ -586,28 +605,28 @@ TEST_F(NetTest, TornTransferLeavesReplicaOnOldSnapshot) {
   // then fail): the primary aborts the connection before the end frame.
   serve::FaultInjector::Arm(serve::FaultPoint::kNetSnapshotStream, 1, /*skip=*/1);
   const WireStatus torn =
-      net::ReplicateSnapshot(client, bed.zoo, "census", bed.replica_path);
+      net::ReplicateSnapshot(client, bed.zoo, kKey, bed.replica_path);
   EXPECT_FALSE(torn.ok);
   EXPECT_EQ(bed.primary_server.stats().snapshot_stream_failures, 1u);
 
   // The replica still serves its OLD snapshot, bitwise.
-  const std::vector<double> after = bed.replica_engine.EstimateBatch("census", bed.queries);
+  const std::vector<double> after = bed.replica_engine.EstimateBatch(kKey, bed.queries);
   EXPECT_EQ(after, v0);
 
   // Recovery: a fresh connection replicates the new snapshot cleanly.
   serve::FaultInjector::DisarmAll();
   RpcClient retry = bed.Connect();
-  ASSERT_TRUE(net::ReplicateSnapshot(retry, bed.zoo, "census", bed.replica_path).ok);
-  const std::vector<double> replica_v1 = bed.replica_engine.EstimateBatch("census", bed.queries);
-  const std::vector<double> primary_v1 = bed.primary_engine.EstimateBatch(bed.queries);
+  ASSERT_TRUE(net::ReplicateSnapshot(retry, bed.zoo, kKey, bed.replica_path).ok);
+  const std::vector<double> replica_v1 = bed.replica_engine.EstimateBatch(kKey, bed.queries);
+  const std::vector<double> primary_v1 = bed.primary_engine.EstimateBatch(kKey, bed.queries);
   EXPECT_EQ(replica_v1, primary_v1);
 }
 
 TEST_F(NetTest, CorruptedFetchIsRejectedBeforeInstall) {
   ReplicationBed bed;
   RpcClient client = bed.Connect();
-  ASSERT_TRUE(net::ReplicateSnapshot(client, bed.zoo, "census", bed.replica_path).ok);
-  const std::vector<double> v0 = bed.replica_engine.EstimateBatch("census", bed.queries);
+  ASSERT_TRUE(net::ReplicateSnapshot(client, bed.zoo, kKey, bed.replica_path).ok);
+  const std::vector<double> v0 = bed.replica_engine.EstimateBatch(kKey, bed.queries);
 
   // Fetch a fresh copy, then corrupt it on disk before installing — the
   // artifact's own checksums must reject it and the zoo stays untouched.
@@ -622,9 +641,115 @@ TEST_F(NetTest, CorruptedFetchIsRejectedBeforeInstall) {
     byte = static_cast<char>(byte ^ 0x40);
     f.write(&byte, 1);
   }
-  const WireStatus st = net::InstallSnapshot(bed.zoo, "census", fetched, bed.replica_path);
+  const WireStatus st = net::InstallSnapshot(bed.zoo, kKey, fetched, bed.replica_path);
   EXPECT_FALSE(st.ok);
-  EXPECT_EQ(bed.replica_engine.EstimateBatch("census", bed.queries), v0);
+  EXPECT_EQ(bed.replica_engine.EstimateBatch(kKey, bed.queries), v0);
+}
+
+// Replication under publish churn: every stream's shipped id is the
+// fingerprint in the shipped artifact's own header. The server takes the
+// bytes and the id from one registry read, so a publish landing mid-request
+// cannot pair one version's bytes with the next version's id.
+TEST_F(NetTest, ReplicatedIdMatchesShippedArtifactUnderPublishChurn) {
+  ReplicationBed bed;
+  std::vector<std::unique_ptr<core::DuetModel>> versions;
+  for (int i = 0; i < 12; ++i) {
+    versions.push_back(
+        std::make_unique<core::DuetModel>(bed.table, SmallModelOptions(100 + i)));
+  }
+  std::atomic<bool> publishing{true};
+  std::thread publisher([&] {
+    for (auto& m : versions) bed.registry.Publish(std::move(m));
+    publishing.store(false);
+  });
+
+  RpcClient client = bed.Connect();
+  const std::string fetched = bed.replica_path + ".churn";
+  int fetches = 0;
+  int failures = 0;
+  while (publishing.load() || fetches < 4) {
+    uint64_t id = 0;
+    const WireStatus st = client.FetchSnapshot(fetched, &id);
+    std::shared_ptr<const artifact::ArtifactModel> model;
+    if (!st.ok || !artifact::LoadArtifact(fetched, {}, &model).ok ||
+        model->fingerprint() != id) {
+      ADD_FAILURE() << "fetch " << fetches << ": " << (st.ok ? "id mismatch" : st.error);
+      ++failures;
+      break;
+    }
+    ++fetches;
+  }
+  publisher.join();
+  ::unlink(fetched.c_str());
+  EXPECT_EQ(failures, 0);
+  EXPECT_GE(fetches, 4);
+  EXPECT_EQ(bed.primary.registry.stats().published, 13u);
+}
+
+// FetchSnapshot rejects a stream whose shipped id is not the artifact's
+// fingerprint: a fake primary ships intact bytes under a wrong id, and the
+// client refuses it before anything is written.
+TEST_F(NetTest, FetchRejectsMislabelledSnapshotStream) {
+  const data::Table table = SmallTable();
+  core::DuetModel model(table, SmallModelOptions(5));
+  testbed::TempDir dir("mislabelled");
+  const std::string source = testbed::WriteArtifactOrFail(
+      model, dir.File("source.duet"), tensor::WeightBackend::kDenseF32);
+  std::string bytes;
+  {
+    std::ifstream in(source, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  std::shared_ptr<const artifact::ArtifactModel> loaded;
+  ASSERT_TRUE(artifact::LoadArtifact(source, {}, &loaded).ok);
+  const uint64_t wrong_id = loaded->fingerprint() ^ 1;
+
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  std::thread fake_primary([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    char request[net::kFrameHeaderBytes];
+    size_t got = 0;
+    while (got < sizeof request) {
+      const ssize_t n = ::recv(fd, request + got, sizeof request - got, 0);
+      if (n <= 0) break;
+      got += static_cast<size_t>(n);
+    }
+    auto u64 = [](uint64_t v) { return std::string(reinterpret_cast<const char*>(&v), 8); };
+    std::string out;
+    const std::string begin = u64(bytes.size()) + u64(wrong_id);
+    net::AppendFrame(&out, FrameType::kSnapshotBegin, 1, 0, begin.data(), begin.size());
+    net::AppendFrame(&out, FrameType::kSnapshotChunk, 1, 0, bytes.data(), bytes.size());
+    const std::string end = u64(Fnv1a64(bytes.data(), bytes.size()));
+    net::AppendFrame(&out, FrameType::kSnapshotEnd, 1, 1, end.data(), end.size());
+    size_t sent = 0;
+    while (sent < out.size()) {
+      const ssize_t n = ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<size_t>(n);
+    }
+    ::close(fd);
+  });
+
+  RpcClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ntohs(addr.sin_port)).ok);
+  const std::string dest = dir.File("fetched.duet");
+  const WireStatus st = client.FetchSnapshot(dest);
+  fake_primary.join();
+  ::close(listener);
+  EXPECT_FALSE(st.ok);
+  EXPECT_NE(st.error.find("fingerprint"), std::string::npos) << st.error;
+  EXPECT_FALSE(std::filesystem::exists(dest)) << "a mislabelled stream was written";
 }
 
 TEST_F(NetTest, SnapshotRequestWithoutSourceIsACleanError) {
@@ -635,7 +760,7 @@ TEST_F(NetTest, SnapshotRequestWithoutSourceIsACleanError) {
   // Connection stays usable.
   std::vector<serve::Estimate> wire;
   const std::vector<Query> queries = MakeQueries(bed.table, 4);
-  EXPECT_TRUE(client.EstimateBatch("", queries, 0, &wire).ok);
+  EXPECT_TRUE(client.EstimateBatch(kKey, queries, 0, &wire).ok);
 }
 
 }  // namespace

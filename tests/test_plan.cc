@@ -26,7 +26,6 @@
 #include "nn/layers.h"
 #include "nn/made.h"
 #include "query/workload.h"
-#include "serve/serving_engine.h"
 #include "tensor/packed_weights.h"
 #include "tensor/tensor.h"
 
@@ -435,48 +434,6 @@ TEST(F16BackendTest, MedianQErrorWithinOnePercentOfDense) {
   const double dense = median_qerr(WeightBackend::kDenseF32);
   const double f16 = median_qerr(WeightBackend::kF16);
   EXPECT_NEAR(f16, dense, 0.01 * dense) << "f16 median q-error drifted >1% from fp32";
-}
-
-TEST(PlanServingTest, EngineTogglePlansMatchesUncompiledBitwise) {
-  const data::Table t = data::CensusLike(400, 23);
-  core::DuetModelOptions opt;
-  opt.hidden_sizes = {32, 32};
-  opt.residual = true;
-  core::DuetModel model(t, opt);
-  core::DuetEstimator est(model);
-  query::WorkloadSpec spec;
-  spec.seed = 41;
-  query::WorkloadGenerator gen(t, spec);
-  Rng rng(41);
-  std::vector<query::Query> queries;
-  for (int i = 0; i < 40; ++i) queries.push_back(gen.GenerateQuery(rng));
-
-  std::vector<double> with_plans, without_plans;
-  {
-    serve::ServingOptions sopt;
-    sopt.num_workers = 2;
-    sopt.compile_plans = true;
-    serve::ServingEngine engine(est, sopt);
-    with_plans = engine.EstimateBatch(queries);
-    const serve::ServingStats stats = engine.stats();
-    EXPECT_GT(stats.plan_cache_hits, 0u);
-    EXPECT_GT(stats.plan_compile_micros, 0u);
-    EXPECT_GT(stats.plan_bytes, 0u);
-    EXPECT_GE(stats.packed_weight_bytes, stats.plan_bytes);
-  }
-  // The hit counter is cumulative on the model, so with plans off it must
-  // simply stop growing.
-  const uint64_t hits_after_planned = est.PlanCacheHits();
-  {
-    serve::ServingOptions sopt;
-    sopt.num_workers = 2;
-    sopt.compile_plans = false;
-    serve::ServingEngine engine(est, sopt);
-    without_plans = engine.EstimateBatch(queries);
-    EXPECT_EQ(engine.stats().plan_cache_hits, hits_after_planned);
-  }
-  EXPECT_EQ(with_plans, without_plans)
-      << "planned serving must be bitwise-equal to the uncompiled path";
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Resilience suite (`ctest -L resilience`): every fault class in
 // docs/resilience.md §6 — queue overflow, expired deadlines, neural forward
-// failures (allocation, weight-pack, plan-compile), corrupt checkpoints,
-// failed publishes, divergent fine-tune rounds — must produce a flagged
-// degraded answer or a clean error, never a crash, hang, or silently wrong
-// result. Faults are forced through serve::FaultInjector; every test disarms
+// failures (injected, allocation), corrupt checkpoints, failed publishes
+// (weight-pack, plan-compile, torn artifact write, the publish itself),
+// divergent fine-tune rounds — must produce a flagged degraded answer or a
+// clean error, never a crash, hang, or silently wrong result. Faults are forced through serve::FaultInjector; every test disarms
 // all points on entry and exit so a failed assertion cannot poison the next
 // test. Runs under ASan/UBSan in CI like the rest of the suite.
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "baselines/traditional/independence.h"
 #include "core/checkpoint.h"
 #include "core/duet_model.h"
+#include "core/finetune.h"
 #include "data/generator.h"
 #include "gtest/gtest.h"
 #include "query/workload.h"
@@ -22,6 +25,7 @@
 #include "serve/model_registry.h"
 #include "serve/serving_engine.h"
 #include "serve/update_worker.h"
+#include "serving_bed.h"
 
 namespace duet {
 namespace {
@@ -29,6 +33,8 @@ namespace {
 using query::Query;
 using serve::FaultInjector;
 using serve::FaultPoint;
+using testbed::RegistryBed;
+using testbed::ZooServeBed;
 
 data::Table SmallTable() { return data::CensusLike(600, 11); }
 
@@ -37,6 +43,19 @@ core::DuetModelOptions SmallModelOptions() {
   opt.hidden_sizes = {24, 24};
   opt.residual = true;
   return opt;
+}
+
+/// Deterministically nudges every parameter so a published clone serves
+/// different estimates than its base.
+void PerturbParameters(core::DuetModel& model, int salt) {
+  tensor::ParameterMutationGuard mutation;
+  for (const tensor::Tensor& p : model.parameters()) {
+    tensor::Tensor t = p;  // shared handle
+    float* d = t.data();
+    for (int64_t i = 0; i < t.numel(); ++i) {
+      d[i] += 0.01f * static_cast<float>(salt) * std::sin(static_cast<float>(i % 13));
+    }
+  }
 }
 
 std::vector<Query> MakeQueries(const data::Table& table, int n, uint64_t seed = 31) {
@@ -74,12 +93,13 @@ TEST_F(ResilienceTest, BoundedQueueShedsWithFlaggedFallbackAnswer) {
   sopt.max_queue = 2;
   sopt.max_batch = 64;                  // size trigger never fires
   sopt.max_wait_us = 200 * 1000;        // scheduler holds the queued entries
-  serve::ServingEngine engine(est, sopt);
+  ZooServeBed bed(model, sopt);
+  serve::ServingEngine& engine = bed.engine;
   engine.AttachFallback(&fallback);
 
   const std::vector<Query> queries = MakeQueries(t, 8);
   std::vector<serve::ServingEngine::Future> futures;
-  for (const Query& q : queries) futures.push_back(engine.Submit(q));
+  for (const Query& q : queries) futures.push_back(engine.Submit(bed.key, q));
 
   // The queue held at most 2; everything beyond was shed with an immediate
   // fallback answer (Ready() before any dispatch could have happened).
@@ -112,10 +132,11 @@ TEST_F(ResilienceTest, ShedWithoutFallbackStillCompletesFlagged) {
   sopt.max_queue = 1;
   sopt.max_batch = 64;
   sopt.max_wait_us = 200 * 1000;
-  serve::ServingEngine engine(est, sopt);  // no fallback attached
+  ZooServeBed bed(model, sopt);  // no fallback attached
+  serve::ServingEngine& engine = bed.engine;
 
-  auto first = engine.Submit(MakeQueries(t, 1)[0]);
-  auto second = engine.Submit(MakeQueries(t, 1, 32)[0]);
+  auto first = engine.Submit(bed.key, MakeQueries(t, 1)[0]);
+  auto second = engine.Submit(bed.key, MakeQueries(t, 1, 32)[0]);
   const serve::Estimate e = second.Result();
   EXPECT_TRUE(e.shed);
   EXPECT_EQ(e.selectivity, 0.0);  // documented no-fallback answer
@@ -134,13 +155,14 @@ TEST_F(ResilienceTest, ExpiredDeadlineServedByFallbackAndFlagged) {
   sopt.num_workers = 2;
   sopt.max_batch = 64;            // only the wait trigger dispatches
   sopt.max_wait_us = 30 * 1000;   // 30 ms: far beyond the 1 us deadlines
-  serve::ServingEngine engine(est, sopt);
+  ZooServeBed bed(model, sopt);
+  serve::ServingEngine& engine = bed.engine;
   engine.AttachFallback(&fallback);
 
   const std::vector<Query> queries = MakeQueries(t, 6);
   std::vector<serve::ServingEngine::Future> futures;
   for (const Query& q : queries) {
-    futures.push_back(engine.Submit(q, /*deadline_us=*/1));
+    futures.push_back(engine.Submit(bed.key, q, /*deadline_us=*/1));
   }
   for (size_t i = 0; i < futures.size(); ++i) {
     const serve::Estimate e = futures[i].Result();
@@ -161,13 +183,14 @@ TEST_F(ResilienceTest, GenerousDeadlineIsNotDropped) {
   sopt.num_workers = 2;
   sopt.max_batch = 4;
   sopt.max_wait_us = 1000;
-  serve::ServingEngine engine(est, sopt);
+  ZooServeBed bed(model, sopt);
+  serve::ServingEngine& engine = bed.engine;
 
   const std::vector<Query> queries = MakeQueries(t, 8);
   const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
   std::vector<serve::ServingEngine::Future> futures;
   for (const Query& q : queries) {
-    futures.push_back(engine.Submit(q, /*deadline_us=*/10 * 1000 * 1000));
+    futures.push_back(engine.Submit(bed.key, q, /*deadline_us=*/10 * 1000 * 1000));
   }
   for (size_t i = 0; i < futures.size(); ++i) {
     const serve::Estimate e = futures[i].Result();
@@ -181,14 +204,15 @@ TEST_F(ResilienceTest, SyncLateResultIsFlaggedButStillAnswered) {
   const data::Table t = SmallTable();
   core::DuetModel model(t, SmallModelOptions());
   core::DuetEstimator est(model);
-  serve::ServingEngine engine(est, {});
+  ZooServeBed bed(model);
+  serve::ServingEngine& engine = bed.engine;
 
   const std::vector<Query> queries = MakeQueries(t, 12);
   const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
   // 1 us budget: the batch cannot finish in time, so every result is
   // flagged late — but the answers are still the real neural estimates.
   const std::vector<serve::Estimate> results =
-      engine.EstimateBatchEx(queries, /*deadline_us=*/1);
+      engine.EstimateBatchEx(bed.key, queries, /*deadline_us=*/1);
   ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].deadline_expired);
@@ -207,12 +231,13 @@ TEST_F(ResilienceTest, NeuralForwardFailureDegradesToFallback) {
   baselines::IndependenceEstimator fallback(t);
   serve::ServingOptions sopt;
   sopt.num_workers = 1;  // single shard: the whole batch degrades together
-  serve::ServingEngine engine(est, sopt);
+  ZooServeBed bed(model, sopt);
+  serve::ServingEngine& engine = bed.engine;
   engine.AttachFallback(&fallback);
 
   const std::vector<Query> queries = MakeQueries(t, 5);
   FaultInjector::Arm(FaultPoint::kNeuralForward, 1);
-  const std::vector<serve::Estimate> degraded = engine.EstimateBatchEx(queries);
+  const std::vector<serve::Estimate> degraded = engine.EstimateBatchEx(bed.key, queries);
   EXPECT_EQ(FaultInjector::fired(FaultPoint::kNeuralForward), 1u);
   for (size_t i = 0; i < degraded.size(); ++i) {
     EXPECT_TRUE(degraded[i].fallback) << "query " << i;
@@ -223,7 +248,7 @@ TEST_F(ResilienceTest, NeuralForwardFailureDegradesToFallback) {
   EXPECT_EQ(stats.fallback_served, queries.size());
 
   // The budget is spent: the next call is served neurally again.
-  const std::vector<serve::Estimate> healthy = engine.EstimateBatchEx(queries);
+  const std::vector<serve::Estimate> healthy = engine.EstimateBatchEx(bed.key, queries);
   const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
   for (size_t i = 0; i < healthy.size(); ++i) {
     EXPECT_FALSE(healthy[i].fallback);
@@ -231,39 +256,31 @@ TEST_F(ResilienceTest, NeuralForwardFailureDegradesToFallback) {
   }
 }
 
-// Infrastructure faults below the estimator (allocation, weight packing,
-// plan compilation) surface inside the neural forward; each must degrade
-// the dispatch, not crash the process.
-TEST_F(ResilienceTest, InfrastructureFaultsDegradeNotCrash) {
+// An allocation failure below the estimator surfaces inside the neural
+// forward of a served artifact; it must degrade the dispatch, not crash the
+// process, and the next dispatch serves neurally again.
+TEST_F(ResilienceTest, AllocationFaultDegradesNotCrash) {
   const data::Table t = SmallTable();
+  core::DuetModel model(t, SmallModelOptions());
+  core::DuetEstimator est(model);
   baselines::IndependenceEstimator fallback(t);
+  serve::ServingOptions sopt;
+  sopt.num_workers = 1;
+  ZooServeBed bed(model, sopt);
+  bed.engine.AttachFallback(&fallback);
   const std::vector<Query> queries = MakeQueries(t, 4);
-  for (const FaultPoint point :
-       {FaultPoint::kAllocation, FaultPoint::kPackWeights, FaultPoint::kPlanCompile}) {
-    // Fresh model per point so packs/plans recompile lazily and actually
-    // cross the armed fault site.
-    core::DuetModel model(t, SmallModelOptions());
-    core::DuetEstimator est(model);
-    serve::ServingOptions sopt;
-    sopt.num_workers = 1;
-    serve::ServingEngine engine(est, sopt);
-    engine.AttachFallback(&fallback);
 
-    FaultInjector::Arm(point, 1);
-    const std::vector<serve::Estimate> results = engine.EstimateBatchEx(queries);
-    EXPECT_EQ(FaultInjector::fired(point), 1u)
-        << "fault point " << static_cast<int>(point) << " never crossed";
-    for (const serve::Estimate& e : results) {
-      EXPECT_TRUE(e.fallback) << "fault point " << static_cast<int>(point);
-    }
-    FaultInjector::Disarm(point);
-    // Recovery: estimates match the clean single-thread path afterwards.
-    const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
-    const std::vector<serve::Estimate> after = engine.EstimateBatchEx(queries);
-    for (size_t i = 0; i < after.size(); ++i) {
-      EXPECT_FALSE(after[i].fallback);
-      EXPECT_EQ(after[i].selectivity, reference[i]);
-    }
+  FaultInjector::Arm(FaultPoint::kAllocation, 1);
+  const std::vector<serve::Estimate> results = bed.engine.EstimateBatchEx(bed.key, queries);
+  EXPECT_EQ(FaultInjector::fired(FaultPoint::kAllocation), 1u);
+  for (const serve::Estimate& e : results) EXPECT_TRUE(e.fallback);
+  FaultInjector::Disarm(FaultPoint::kAllocation);
+  // Recovery: estimates match the clean single-thread path afterwards.
+  const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
+  const std::vector<serve::Estimate> after = bed.engine.EstimateBatchEx(bed.key, queries);
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_FALSE(after[i].fallback);
+    EXPECT_EQ(after[i].selectivity, reference[i]);
   }
 }
 
@@ -278,14 +295,15 @@ TEST_F(ResilienceTest, BreakerTripsOpenAndProbesClosed) {
   sopt.num_workers = 1;
   sopt.breaker_threshold = 2;
   sopt.breaker_cooldown_us = 1;  // probe immediately in this test
-  serve::ServingEngine engine(est, sopt);
+  ZooServeBed bed(model, sopt);
+  serve::ServingEngine& engine = bed.engine;
   engine.AttachFallback(&fallback);
 
   const std::vector<Query> queries = MakeQueries(t, 3);
   // Two consecutive failed dispatches trip the breaker...
   FaultInjector::Arm(FaultPoint::kNeuralForward, 2);
-  engine.EstimateBatchEx(queries);
-  engine.EstimateBatchEx(queries);
+  engine.EstimateBatchEx(bed.key, queries);
+  engine.EstimateBatchEx(bed.key, queries);
   serve::ServingStats stats = engine.stats();
   EXPECT_EQ(stats.breaker_trips, 1u);
   EXPECT_EQ(stats.breaker_state, 1u);  // open
@@ -293,14 +311,14 @@ TEST_F(ResilienceTest, BreakerTripsOpenAndProbesClosed) {
   // ...the cooldown elapses, the next dispatch is the elected probe (the
   // injected budget is spent, so it succeeds) and the breaker closes.
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  const std::vector<serve::Estimate> probe = engine.EstimateBatchEx(queries);
+  const std::vector<serve::Estimate> probe = engine.EstimateBatchEx(bed.key, queries);
   for (const serve::Estimate& e : probe) EXPECT_FALSE(e.fallback);
   stats = engine.stats();
   EXPECT_EQ(stats.breaker_state, 0u);  // closed again
   EXPECT_EQ(stats.breaker_trips, 1u);
 
   const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
-  const std::vector<serve::Estimate> healthy = engine.EstimateBatchEx(queries);
+  const std::vector<serve::Estimate> healthy = engine.EstimateBatchEx(bed.key, queries);
   for (size_t i = 0; i < healthy.size(); ++i) {
     EXPECT_EQ(healthy[i].selectivity, reference[i]);
   }
@@ -315,16 +333,17 @@ TEST_F(ResilienceTest, OpenBreakerServesFallbackWithoutNeuralAttempts) {
   sopt.num_workers = 1;
   sopt.breaker_threshold = 1;
   sopt.breaker_cooldown_us = 60 * 1000 * 1000;  // never elapses in-test
-  serve::ServingEngine engine(est, sopt);
+  ZooServeBed bed(model, sopt);
+  serve::ServingEngine& engine = bed.engine;
   engine.AttachFallback(&fallback);
 
   const std::vector<Query> queries = MakeQueries(t, 3);
   FaultInjector::Arm(FaultPoint::kNeuralForward, 1);
-  engine.EstimateBatchEx(queries);  // trips open
+  engine.EstimateBatchEx(bed.key, queries);  // trips open
   ASSERT_EQ(engine.stats().breaker_state, 1u);
 
   const uint64_t shards_open = engine.stats().shards;
-  const std::vector<serve::Estimate> results = engine.EstimateBatchEx(queries);
+  const std::vector<serve::Estimate> results = engine.EstimateBatchEx(bed.key, queries);
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].fallback);
     EXPECT_EQ(results[i].selectivity, fallback.EstimateSelectivity(queries[i]));
@@ -357,10 +376,49 @@ TEST_F(ResilienceTest, TornCheckpointWriteIsRejectedCleanly) {
 
 // ---- failed publishes: retried with backoff, then abandoned safely ----
 
+// Weight packing and plan compilation run when a publish writes its
+// artifact, and a torn write is caught by the validation load: each fault
+// must fail the Publish before the key moves — the old artifact keeps
+// serving bitwise, no stray file is left behind — and the retry succeeds.
+TEST_F(ResilienceTest, PublishFaultsLeaveOldArtifactServing) {
+  const data::Table t = SmallTable();
+  const std::vector<Query> queries = MakeQueries(t, 12);
+  for (const FaultPoint point :
+       {FaultPoint::kPackWeights, FaultPoint::kPlanCompile, FaultPoint::kCheckpointWrite}) {
+    SCOPED_TRACE(static_cast<int>(point));
+    RegistryBed bed(std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+    uint64_t id_before = 0;
+    const std::vector<double> before = bed.engine.EstimateBatch(bed.key, queries, &id_before);
+
+    auto candidate = bed.registry.CloneCurrent();
+    PerturbParameters(*candidate, 3);
+    auto retry = core::CloneModel(*candidate);
+    const uint64_t fired_before = FaultInjector::fired(point);
+    FaultInjector::Arm(point, 1);
+    EXPECT_THROW(bed.registry.Publish(std::move(candidate)), std::exception);
+    EXPECT_EQ(FaultInjector::fired(point), fired_before + 1) << "fault point never crossed";
+
+    uint64_t id_after = 0;
+    EXPECT_EQ(bed.engine.EstimateBatch(bed.key, queries, &id_after), before);
+    EXPECT_EQ(id_after, id_before);
+    EXPECT_EQ(bed.registry.Current()->id(), id_before);
+    EXPECT_EQ(bed.registry.stats().published, 1u);
+    EXPECT_EQ(bed.dir.CountFiles(), 1u) << "failed publish left a file behind";
+
+    // The retry (the fault budget is spent) publishes and serves the new bits.
+    const auto published = bed.registry.Publish(std::move(retry));
+    uint64_t id_new = 0;
+    const std::vector<double> fresh = bed.engine.EstimateBatch(bed.key, queries, &id_new);
+    EXPECT_EQ(id_new, published->id());
+    EXPECT_NE(fresh, before);
+    EXPECT_EQ(fresh, published->artifact().EstimateSelectivityBatch(queries));
+  }
+}
+
 TEST_F(ResilienceTest, PublishFailureIsRetriedUntilSuccess) {
   const data::Table t = SmallTable();
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  RegistryBed bed(std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  serve::ModelRegistry& registry = bed.registry;
   const uint64_t id_before = registry.Current()->id();
 
   query::WorkloadSpec spec;
@@ -387,17 +445,17 @@ TEST_F(ResilienceTest, PublishFailureIsRetriedUntilSuccess) {
   EXPECT_EQ(stats.publish_failures, 2u);
   EXPECT_EQ(stats.published, 1u);
   EXPECT_EQ(stats.publish_abandoned, 0u);
-  EXPECT_GT(registry.Current()->id(), id_before);
+  EXPECT_NE(registry.Current()->id(), id_before);
+  EXPECT_EQ(bed.dir.CountFiles(), 1u) << "failed attempts left files behind";
 }
 
 TEST_F(ResilienceTest, PublishAbandonedAfterRetryBudgetKeepsOldSnapshot) {
   const data::Table t = SmallTable();
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  RegistryBed bed(std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  serve::ModelRegistry& registry = bed.registry;
   const uint64_t id_before = registry.Current()->id();
   const std::vector<Query> probe = MakeQueries(t, 10);
-  const std::vector<double> before =
-      registry.Current()->estimator().EstimateSelectivityBatch(probe);
+  const std::vector<double> before = bed.engine.EstimateBatch(bed.key, probe);
 
   query::WorkloadSpec spec;
   spec.num_queries = 64;
@@ -426,19 +484,18 @@ TEST_F(ResilienceTest, PublishAbandonedAfterRetryBudgetKeepsOldSnapshot) {
   EXPECT_EQ(stats.published, 0u);
   EXPECT_EQ(stats.publish_abandoned, 1u);
   EXPECT_EQ(registry.Current()->id(), id_before);
-  EXPECT_EQ(registry.Current()->estimator().EstimateSelectivityBatch(probe), before);
+  EXPECT_EQ(bed.engine.EstimateBatch(bed.key, probe), before);
 }
 
 // ---- divergent fine-tune rounds: gated, rolled back, quarantined ----
 
 TEST_F(ResilienceTest, DivergentFineTuneIsRolledBackAndQuarantined) {
   const data::Table t = SmallTable();
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  RegistryBed bed(std::make_unique<core::DuetModel>(t, SmallModelOptions()));
+  serve::ModelRegistry& registry = bed.registry;
   const uint64_t id_before = registry.Current()->id();
   const std::vector<Query> probe = MakeQueries(t, 10);
-  const std::vector<double> before =
-      registry.Current()->estimator().EstimateSelectivityBatch(probe);
+  const std::vector<double> before = bed.engine.EstimateBatch(bed.key, probe);
 
   query::WorkloadSpec spec;
   spec.num_queries = 64;
@@ -471,15 +528,13 @@ TEST_F(ResilienceTest, DivergentFineTuneIsRolledBackAndQuarantined) {
   EXPECT_EQ(worker.pending_feedback(), 0);
   // The NaN candidate never reached serving.
   EXPECT_EQ(registry.Current()->id(), id_before);
-  EXPECT_EQ(registry.Current()->estimator().EstimateSelectivityBatch(probe), before);
+  EXPECT_EQ(bed.engine.EstimateBatch(bed.key, probe), before);
 }
 
-// ---- end-to-end: registry-mode engine stays up across injected faults ----
+// ---- end-to-end: a registry-fed engine stays up across injected faults ----
 
 TEST_F(ResilienceTest, RegistryEngineSurvivesFaultStorm) {
   const data::Table t = SmallTable();
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()));
   baselines::IndependenceEstimator fallback(t);
   serve::ServingOptions sopt;
   sopt.num_workers = 2;
@@ -487,7 +542,8 @@ TEST_F(ResilienceTest, RegistryEngineSurvivesFaultStorm) {
   sopt.max_wait_us = 1000;
   sopt.breaker_threshold = 3;
   sopt.breaker_cooldown_us = 1000;
-  serve::ServingEngine engine(registry, sopt);
+  RegistryBed bed(std::make_unique<core::DuetModel>(t, SmallModelOptions()), sopt);
+  serve::ServingEngine& engine = bed.engine;
   engine.AttachFallback(&fallback);
 
   const std::vector<Query> queries = MakeQueries(t, 40);
@@ -495,7 +551,7 @@ TEST_F(ResilienceTest, RegistryEngineSurvivesFaultStorm) {
   // with either a real or a flagged fallback answer.
   FaultInjector::Arm(FaultPoint::kNeuralForward, 4, /*skip=*/2);
   std::vector<serve::ServingEngine::Future> futures;
-  for (const Query& q : queries) futures.push_back(engine.Submit(q));
+  for (const Query& q : queries) futures.push_back(engine.Submit(bed.key, q));
   size_t degraded = 0;
   for (auto& f : futures) {
     const serve::Estimate e = f.Result();

@@ -1,27 +1,34 @@
-// Serving engine + masked-weight cache: sharded estimation must equal the
-// single-thread batch path bitwise across ragged batch sizes and worker
-// counts; the masked-weight cache must be invalidated by optimizer steps,
-// fine-tuning and checkpoint loads; async Submit/Wait must return each
-// query's own estimate regardless of micro-batch grouping.
+// Serving engine + masked-weight cache: zoo-served estimation must equal the
+// in-memory model's single-thread batch path bitwise across ragged batch
+// sizes, worker counts, packed-weight backends and SIMD tiers, on both the
+// sync sharded path and the async path; the masked-weight cache must be
+// invalidated by optimizer steps, fine-tuning and checkpoint loads; async
+// Submit/Wait must return each query's own estimate regardless of
+// micro-batch grouping.
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/duet_model.h"
-#include "core/finetune.h"
 #include "core/trainer.h"
 #include "data/generator.h"
 #include "gtest/gtest.h"
 #include "nn/layers.h"
 #include "query/workload.h"
 #include "serve/serving_engine.h"
+#include "serving_bed.h"
 #include "tensor/optimizer.h"
+#include "tensor/packed_weights.h"
+#include "tensor/simd_dispatch.h"
 #include "tensor/tensor.h"
 
 namespace duet {
 namespace {
 
 using query::Query;
+using testbed::ZooServeBed;
 
 data::Table SmallTable() { return data::CensusLike(600, 11); }
 
@@ -48,15 +55,16 @@ TEST(ServingEngineTest, ShardedMatchesSingleThreadBitwise) {
   // Ragged sizes hit the 1-query, sub-min_shard, uneven-split and
   // larger-than-workers regimes.
   const std::vector<int> sizes = {1, 2, 3, 7, 16, 33, 64, 65, 130};
+  ZooServeBed bed(model);
   for (unsigned workers : {1u, 2u, 4u, 8u}) {
     serve::ServingOptions sopt;
     sopt.num_workers = workers;
     sopt.min_shard = 4;
-    serve::ServingEngine engine(est, sopt);
+    serve::ServingEngine engine(bed.zoo, sopt);
     for (int size : sizes) {
       const std::vector<Query> batch(all.begin(), all.begin() + size);
       const std::vector<double> reference = est.EstimateSelectivityBatch(batch);
-      const std::vector<double> sharded = engine.EstimateBatch(batch);
+      const std::vector<double> sharded = engine.EstimateBatch(bed.key, batch);
       ASSERT_EQ(sharded.size(), reference.size());
       for (size_t i = 0; i < reference.size(); ++i) {
         // Bitwise: sharding must not perturb numerics at all.
@@ -76,7 +84,7 @@ TEST(ServingEngineTest, ConcurrentSyncCallersDoNotInterfere) {
   serve::ServingOptions sopt;
   sopt.num_workers = 4;
   sopt.min_shard = 2;
-  serve::ServingEngine engine(est, sopt);
+  ZooServeBed bed(model, sopt);
 
   const std::vector<Query> qa = MakeQueries(t, 40, 1);
   const std::vector<Query> qb = MakeQueries(t, 23, 2);
@@ -84,8 +92,8 @@ TEST(ServingEngineTest, ConcurrentSyncCallersDoNotInterfere) {
   const std::vector<double> rb = est.EstimateSelectivityBatch(qb);
 
   std::vector<double> got_a, got_b;
-  std::thread ta([&] { got_a = engine.EstimateBatch(qa); });
-  std::thread tb([&] { got_b = engine.EstimateBatch(qb); });
+  std::thread ta([&] { got_a = bed.engine.EstimateBatch(bed.key, qa); });
+  std::thread tb([&] { got_b = bed.engine.EstimateBatch(bed.key, qb); });
   ta.join();
   tb.join();
   EXPECT_EQ(got_a, ra);
@@ -108,16 +116,16 @@ TEST(ServingEngineTest, AsyncSubmitWaitReturnsPerQueryResults) {
   const std::vector<Query> queries = MakeQueries(t, 30);
   const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
 
-  serve::ServingEngine engine(est, sopt);
+  ZooServeBed bed(model, sopt);
   std::vector<serve::ServingEngine::Future> futures;
   futures.reserve(queries.size());
-  for (const Query& q : queries) futures.push_back(engine.Submit(q));
+  for (const Query& q : queries) futures.push_back(bed.engine.Submit(bed.key, q));
   // Wait out of submission order: results must be tied to the query, not to
   // dispatch position.
   for (size_t i = futures.size(); i-- > 0;) {
     EXPECT_EQ(futures[i].Wait(), reference[i]) << "query " << i;
   }
-  const serve::ServingStats stats = engine.stats();
+  const serve::ServingStats stats = bed.engine.stats();
   EXPECT_EQ(stats.queries, queries.size());
   EXPECT_GE(stats.micro_batches, queries.size() / 4);  // max_batch == 4
   EXPECT_LE(stats.largest_micro_batch, 4);
@@ -136,16 +144,17 @@ TEST(ServingEngineTest, FusionIsBitwiseInvariantAndCounted) {
   const std::vector<Query> queries = MakeQueries(t, 24);
   const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
 
+  ZooServeBed bed(model);
   for (const bool fuse : {true, false}) {
     serve::ServingOptions sopt;
     sopt.num_workers = 2;
     sopt.max_batch = 8;
     sopt.max_wait_us = 50 * 1000;
     sopt.fuse_requests = fuse;
-    serve::ServingEngine engine(est, sopt);
+    serve::ServingEngine engine(bed.zoo, sopt);
     std::vector<serve::ServingEngine::Future> futures;
     futures.reserve(queries.size());
-    for (const Query& q : queries) futures.push_back(engine.Submit(q));
+    for (const Query& q : queries) futures.push_back(engine.Submit(bed.key, q));
     for (size_t i = 0; i < futures.size(); ++i) {
       EXPECT_EQ(futures[i].Wait(), reference[i]) << "fuse=" << fuse << " query " << i;
     }
@@ -171,14 +180,15 @@ TEST(ServingEngineTest, DestructorDrainsPendingFutures) {
   const std::vector<Query> queries = MakeQueries(t, 9);
   const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
 
+  ZooServeBed bed(model);
   std::vector<serve::ServingEngine::Future> futures;
   {
     serve::ServingOptions sopt;
     sopt.num_workers = 2;
     sopt.max_batch = 64;          // never reached by 9 queries
     sopt.max_wait_us = 10 * 1000 * 1000;  // nor the deadline: dtor must drain
-    serve::ServingEngine engine(est, sopt);
-    for (const Query& q : queries) futures.push_back(engine.Submit(q));
+    serve::ServingEngine engine(bed.zoo, sopt);
+    for (const Query& q : queries) futures.push_back(engine.Submit(bed.key, q));
   }
   for (size_t i = 0; i < futures.size(); ++i) {
     ASSERT_TRUE(futures[i].Ready()) << "future " << i << " not drained";
@@ -198,6 +208,7 @@ TEST(ServingEngineTest, DestructorDrainRacesDeadlineExpiry) {
   // drains, some are still live. Every future must complete either way —
   // expired ones flagged, live ones with a real estimate — and nothing may
   // hang or crash regardless of which side of the race each entry lands on.
+  ZooServeBed bed(model);
   for (int round = 0; round < 5; ++round) {
     std::vector<serve::ServingEngine::Future> futures;
     {
@@ -205,11 +216,11 @@ TEST(ServingEngineTest, DestructorDrainRacesDeadlineExpiry) {
       sopt.num_workers = 2;
       sopt.max_batch = 64;                 // size trigger never fires
       sopt.max_wait_us = 10 * 1000 * 1000; // dtor does the dispatch
-      serve::ServingEngine engine(est, sopt);
+      serve::ServingEngine engine(bed.zoo, sopt);
       for (size_t i = 0; i < queries.size(); ++i) {
         // Mix of already-expired, racing (~dtor latency), and generous.
         const int64_t deadline = i % 3 == 0 ? 1 : (i % 3 == 1 ? 300 : 10 * 1000 * 1000);
-        futures.push_back(engine.Submit(queries[i], deadline));
+        futures.push_back(engine.Submit(bed.key, queries[i], deadline));
       }
     }
     const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
@@ -232,6 +243,7 @@ TEST(ServingEngineTest, DestructorDrainsShedAndQueuedEntriesTogether) {
   const std::vector<Query> queries = MakeQueries(t, 12);
   const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
 
+  ZooServeBed bed(model);
   std::vector<serve::ServingEngine::Future> futures;
   uint64_t shed = 0;
   {
@@ -240,8 +252,8 @@ TEST(ServingEngineTest, DestructorDrainsShedAndQueuedEntriesTogether) {
     sopt.max_queue = 3;                  // most submissions shed immediately
     sopt.max_batch = 64;
     sopt.max_wait_us = 10 * 1000 * 1000;
-    serve::ServingEngine engine(est, sopt);
-    for (const Query& q : queries) futures.push_back(engine.Submit(q));
+    serve::ServingEngine engine(bed.zoo, sopt);
+    for (const Query& q : queries) futures.push_back(engine.Submit(bed.key, q));
     shed = engine.stats().shed;
   }
   EXPECT_GE(shed, queries.size() - 3);
@@ -339,41 +351,56 @@ TEST(MaskedWeightCacheTest, EstimatesReflectFineTunedWeights) {
   }
 }
 
-// Serving through the engine after a fine-tuning round sees the new
-// weights (the ISSUE's estimate -> finetune -> estimate flow, sharded).
-TEST(MaskedWeightCacheTest, ServingSeesFineTunedWeights) {
+// The differential pin behind the one serving path: for every packed-weight
+// backend and every SIMD tier this CPU runs, the zoo-served answers — sync
+// sharded and async micro-batched — equal bitwise what the in-memory
+// DuetEstimator computes under the same backend. That in-memory path is
+// exactly what the removed fixed-estimator engine served, so the fold to
+// zoo-only dispatch changed no answer.
+class ZooDifferentialTest : public ::testing::TestWithParam<tensor::WeightBackend> {};
+
+TEST_P(ZooDifferentialTest, ZooServedEqualsInMemoryEstimatorBitwise) {
   const data::Table t = SmallTable();
   core::DuetModelOptions opt;
   opt.hidden_sizes = {32, 32};
+  opt.residual = true;
   core::DuetModel model(t, opt);
+  model.SetInferenceBackend(GetParam());
   core::DuetEstimator est(model);
+  const std::vector<Query> queries = MakeQueries(t, 70);
+
   serve::ServingOptions sopt;
-  sopt.num_workers = 2;
+  sopt.num_workers = 4;
   sopt.min_shard = 4;
-  serve::ServingEngine engine(est, sopt);
+  sopt.max_batch = 16;
+  ZooServeBed bed(model, sopt, GetParam());
 
-  query::WorkloadSpec spec;
-  spec.num_queries = 40;
-  spec.seed = 13;
-  const query::Workload wl = query::WorkloadGenerator(t, spec).Generate();
-  std::vector<Query> queries;
-  for (const auto& lq : wl) queries.push_back(lq.query);
-
-  const std::vector<double> before = engine.EstimateBatch(queries);
-
-  core::FineTuneOptions fopt;
-  fopt.qerror_threshold = 1.01;  // collect (almost) everything at this scale
-  fopt.max_queries = 32;
-  fopt.epochs = 1;
-  // Serving is quiesced here: no estimates in flight during the tuning step.
-  const core::FineTuneReport report = core::FineTune(model, wl, fopt);
-  ASSERT_FALSE(report.collected.empty()) << "nothing collected: test premise broken";
-
-  const std::vector<double> after = engine.EstimateBatch(queries);
-  EXPECT_NE(after, before) << "sharded estimates unchanged after fine-tuning";
-  // And the sharded result still equals the single-thread batch path.
-  EXPECT_EQ(after, est.EstimateSelectivityBatch(queries));
+  const std::string prev_tier = tensor::simd::ActiveIsaName();
+  int tiers = 0;
+  for (const char* tier : {"scalar", "avx2", "avx512"}) {
+    if (!tensor::simd::ForceIsa(tier)) continue;  // not supported on this CPU
+    ++tiers;
+    const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
+    EXPECT_EQ(bed.engine.EstimateBatch(bed.key, queries), reference) << "sync, tier " << tier;
+    std::vector<serve::ServingEngine::Future> futures;
+    for (const Query& q : queries) futures.push_back(bed.engine.Submit(bed.key, q));
+    for (size_t i = 0; i < futures.size(); ++i) {
+      EXPECT_EQ(futures[i].Wait(), reference[i]) << "async, tier " << tier << " query " << i;
+    }
+  }
+  tensor::simd::ForceIsa(prev_tier);
+  EXPECT_GE(tiers, 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, ZooDifferentialTest,
+                         ::testing::Values(tensor::WeightBackend::kDenseF32,
+                                           tensor::WeightBackend::kCsrF32,
+                                           tensor::WeightBackend::kInt8,
+                                           tensor::WeightBackend::kF16,
+                                           tensor::WeightBackend::kInt4),
+                         [](const ::testing::TestParamInfo<tensor::WeightBackend>& info) {
+                           return std::string(tensor::WeightBackendName(info.param));
+                         });
 
 }  // namespace
 }  // namespace duet

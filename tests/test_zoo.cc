@@ -405,6 +405,30 @@ TEST(ZooServingTest, KeyedSubmitGroupsMicroBatchesByModel) {
   }
 }
 
+// Hot swaps are counted where they happen — a Register that replaces a
+// key — so traffic alternating between keys is never mistaken for a swap.
+TEST(ZooServingTest, AlternatingKeysAreNotRepublishes) {
+  ZooBed bed(2, 4, "republish");
+  serve::ModelZoo zoo;
+  bed.RegisterAll(zoo);
+  serve::ServingEngine engine(zoo);
+  for (int i = 0; i < 20; ++i) {
+    engine.EstimateBatch(bed.keys[static_cast<size_t>(i % 2)], bed.queries);
+  }
+
+  serve::ZooModelStats a, b;
+  ASSERT_TRUE(zoo.ModelStats(bed.keys[0], &a));
+  ASSERT_TRUE(zoo.ModelStats(bed.keys[1], &b));
+  EXPECT_EQ(a.republishes, 0u);
+  EXPECT_EQ(b.republishes, 0u);
+
+  zoo.Register(bed.keys[0], bed.paths[0]);
+  ASSERT_TRUE(zoo.ModelStats(bed.keys[0], &a));
+  ASSERT_TRUE(zoo.ModelStats(bed.keys[1], &b));
+  EXPECT_EQ(a.republishes, 1u);
+  EXPECT_EQ(b.republishes, 0u);
+}
+
 // ---- concurrency: readers vs publisher vs evictor ----
 
 TEST(ZooServingTest, ConcurrentServePublishEvictStaysBitwise) {
