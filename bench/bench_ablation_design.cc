@@ -26,7 +26,7 @@ double TrainAndMedianQError(const data::Table& t, core::DuetModelOptions mopt,
 int main(int argc, char** argv) {
   using namespace duet;
   using namespace duet::bench;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"epochs", "queries", "rows"});
   const double scale = Flags::ScaleFactor();
   const int epochs = static_cast<int>(flags.GetInt("epochs", 5));
   const int queries = static_cast<int>(flags.GetInt("queries", 150));

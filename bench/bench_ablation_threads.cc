@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace duet;
   using namespace duet::bench;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"queries", "rows"});
   const double scale = Flags::ScaleFactor();
   const int queries = static_cast<int>(flags.GetInt("queries", 256));
 

@@ -12,7 +12,7 @@
 int main(int argc, char** argv) {
   using namespace duet;
   using namespace duet::bench;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"epochs", "rows"});
   const double scale = Flags::ScaleFactor();
   const int epochs = static_cast<int>(flags.GetInt("epochs", 6));
 

@@ -42,7 +42,7 @@ void RunDataset(const data::Table& t, int queries) {
 int main(int argc, char** argv) {
   using namespace duet;
   using namespace duet::bench;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"datasets", "queries"});
   const double scale = Flags::ScaleFactor();
   const int queries = static_cast<int>(flags.GetInt("queries", static_cast<int64_t>(400 * scale)));
   const std::string datasets = flags.GetString("datasets", "census,kdd,dmv");

@@ -10,7 +10,7 @@
 int main(int argc, char** argv) {
   using namespace duet;
   using namespace duet::bench;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"epochs", "queries"});
   const double scale = Flags::ScaleFactor();
   const int epochs = static_cast<int>(flags.GetInt("epochs", 4));
   const int queries = static_cast<int>(flags.GetInt("queries", 100));

@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace duet;
   using namespace duet::bench;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"epochs", "naru_samples", "queries"});
   const double scale = Flags::ScaleFactor();
   const int epochs = static_cast<int>(flags.GetInt("epochs", 2));
   const int queries = static_cast<int>(flags.GetInt("queries", 30));

@@ -128,11 +128,14 @@ BENCHMARK(BM_Naru<Dmv>)->Name("fig7/dmv/Naru_UAE")->Unit(benchmark::kMicrosecond
 }  // namespace duet::bench
 
 int main(int argc, char** argv) {
+  // google-benchmark owns this binary's flags (--benchmark_*); anything it
+  // does not recognize is an error, checked before the slow model setup.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   // Train the shared models up front so the first measured iteration of
   // each benchmark does not absorb context construction.
   duet::bench::Census();
   duet::bench::Dmv();
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

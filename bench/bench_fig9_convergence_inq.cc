@@ -103,7 +103,7 @@ void RunDataset(const data::Table& t, int epochs, int /*queries*/, int naru_samp
 int main(int argc, char** argv) {
   using namespace duet;
   using namespace duet::bench;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"datasets", "epochs", "queries"});
   const double scale = Flags::ScaleFactor();
   const int epochs = static_cast<int>(flags.GetInt("epochs", 5));
   const int queries = static_cast<int>(flags.GetInt("queries", 60));

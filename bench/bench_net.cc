@@ -132,7 +132,8 @@ WireResult RunWireClosedLoop(uint16_t port, const std::vector<Query>& queries, i
 int main(int argc, char** argv) {
   using namespace duet;
   using namespace duet::bench;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"batch_large", "clients", "conns_sweep", "net_min_seconds",
+                           "open_load"});
   const double scale = Flags::ScaleFactor();
   const double min_seconds = flags.GetDouble("net_min_seconds", std::min(1.0, 2.0 * scale));
   const int clients = static_cast<int>(flags.GetInt("clients", 4));

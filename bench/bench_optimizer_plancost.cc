@@ -81,7 +81,7 @@ data::Table MakeStarTable(const std::string& name, int64_t rows, uint64_t seed,
 int main(int argc, char** argv) {
   using namespace duet;
   using namespace duet::bench;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"epochs", "queries", "rows"});
   const double scale = Flags::ScaleFactor();
   const int num_queries = static_cast<int>(flags.GetInt("queries", 60));
   const int epochs = static_cast<int>(flags.GetInt("epochs", 20));
@@ -107,7 +107,6 @@ int main(int argc, char** argv) {
     topt.batch_size = 128;
     core::DuetTrainer(model, topt).Train();
     model.SetInferenceBackend(tensor::WeightBackend::kCsrF32);
-    model.SetPlanEnabled(true);
     model.EstimateSelectivityBatch({query::Query{}});  // compile the plan
     const std::string path = "/tmp/duet_bench_plancost_" + std::to_string(::getpid()) +
                              "_" + std::to_string(t) + ".duet";

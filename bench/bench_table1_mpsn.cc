@@ -64,7 +64,7 @@ Result RunKind(const data::Table& t, core::MpsnKind kind, int epochs,
 int main(int argc, char** argv) {
   using namespace duet;
   using namespace duet::bench;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"epochs", "queries", "rows"});
   const double scale = Flags::ScaleFactor();
   const int epochs = static_cast<int>(flags.GetInt("epochs", 5));
   const int queries = static_cast<int>(flags.GetInt("queries", 120));

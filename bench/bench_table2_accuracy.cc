@@ -205,7 +205,8 @@ void RunDataset(DatasetPlan plan) {
 int main(int argc, char** argv) {
   using namespace duet;
   using namespace duet::bench;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"batch", "datasets", "epochs", "extended", "naru_samples", "queries",
+                           "train_queries"});
   const double scale = Flags::ScaleFactor();
   const std::string datasets = flags.GetString("datasets", "census,kdd,dmv");
   std::printf("Table II reproduction (scale %.2f). Shapes, not absolute numbers, are the "

@@ -53,7 +53,6 @@ std::vector<std::string> WriteArtifactFleet(const data::Table& table, int distin
     opt.seed = 4242 + static_cast<uint64_t>(i);
     core::DuetModel model(table, opt);
     model.SetInferenceBackend(tensor::WeightBackend::kCsrF32);
-    model.SetPlanEnabled(true);
     const std::string path =
         "/tmp/duet_bench_zoo_" + std::to_string(::getpid()) + "_" + std::to_string(i) + ".duet";
     const artifact::ArtifactStatus st =
@@ -73,7 +72,8 @@ std::vector<std::string> WriteArtifactFleet(const data::Table& table, int distin
 int main(int argc, char** argv) {
   using namespace duet;
   using namespace duet::bench;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"batch", "cold_samples", "distinct", "models", "resident_pct",
+                           "steady_seconds", "workers", "zipf_s"});
   const double scale = Flags::ScaleFactor();
 
   const int num_models = static_cast<int>(flags.GetInt(

@@ -41,7 +41,7 @@ constexpr const char* kDemoCsv =
 
 int main(int argc, char** argv) {
   using namespace duet;
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"csv", "epochs", "where"});
 
   data::Table table = [&] {
     const std::string path = flags.GetString("csv", "");
@@ -121,9 +121,8 @@ int main(int argc, char** argv) {
               sel * static_cast<double>(table.num_rows()), actual);
   // Estimation above ran through the compiled inference plan (built
   // automatically on the first no-grad forward; docs/architecture.md §5).
-  std::printf("inference plan: %.1f KiB compiled, %.1f KiB packed caches total\n",
-              static_cast<double>(estimator.PlanBytes()) / 1024.0,
-              static_cast<double>(estimator.PackedWeightBytes()) / 1024.0);
+  std::printf("inference plan: %.1f KiB compiled\n",
+              static_cast<double>(estimator.PlanBytes()) / 1024.0);
 
   // Checkpoint round-trip: the trained model can be reloaded for more
   // training or fine-tuning later.

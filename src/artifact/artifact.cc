@@ -367,12 +367,7 @@ ArtifactStatus BuildPack(const char* base, const SectionEntry& sec,
 
 ArtifactStatus WriteArtifact(const std::string& path, const core::DuetModel& model,
                              tensor::WeightBackend backend) {
-  const std::shared_ptr<const nn::InferencePlan> plan = model.backbone().Compile(backend);
-  if (plan == nullptr) {
-    return ArtifactStatus::Fail(
-        "model backbone has no compiled-plan form (Transformer backbones cannot be "
-        "serialized as artifacts yet)");
-  }
+  const std::shared_ptr<const nn::InferencePlan> plan = model.made().Compile(backend);
   WriteParts parts;
   const data::Table& table = model.table();
   parts.table_name = table.name();

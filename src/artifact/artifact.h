@@ -53,11 +53,9 @@ struct ArtifactLoadOptions {
   bool verify_checksums = true;
 };
 
-/// Serializes `model` (its compiled plan under `backend`, plus schema and
-/// encoding metadata) to `path`. The model must use the MADE backbone (the
-/// Transformer has no compiled-plan form yet — clean error, nothing
-/// written). Any I/O failure is a clean error; the kCheckpointWrite fault
-/// point injects torn writes.
+/// Serializes `model` (its MADE's compiled plan under `backend`, plus
+/// schema and encoding metadata) to `path`. Any I/O failure is a clean
+/// error; the kCheckpointWrite fault point injects torn writes.
 ArtifactStatus WriteArtifact(const std::string& path, const core::DuetModel& model,
                              tensor::WeightBackend backend);
 
@@ -138,7 +136,6 @@ class ArtifactEstimator : public query::CardinalityEstimator {
       const std::vector<query::Query>& queries) override {
     return model_.EstimateSelectivityBatch(queries);
   }
-  uint64_t PackedWeightBytes() const override { return model_.plan().bytes(); }
   uint64_t PlanBytes() const override { return model_.plan().bytes(); }
   std::string name() const override { return "DuetArtifact"; }
   double SizeMB() const override {

@@ -5,16 +5,22 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 
 namespace duet {
 
 /// Parses "--key=value" / "--flag" arguments and serves typed lookups with
-/// defaults. Also honors `DUET_BENCH_SCALE` via ScaleFactor() so the whole
-/// bench suite can be grown or shrunk with one environment variable.
+/// defaults. Every binary declares the flag names it reads: an argument
+/// naming any other flag prints the offending name to stderr and exits
+/// with status 2, so a typo cannot run an experiment on defaults; reading
+/// an undeclared name is a programming error (checked). Positional
+/// arguments are ignored. Also honors `DUET_BENCH_SCALE` via ScaleFactor()
+/// so the whole bench suite can be grown or shrunk with one environment
+/// variable.
 class Flags {
  public:
-  Flags(int argc, char** argv);
+  Flags(int argc, char** argv, std::set<std::string> known);
 
   std::string GetString(const std::string& key, const std::string& def) const;
   int64_t GetInt(const std::string& key, int64_t def) const;
@@ -26,6 +32,10 @@ class Flags {
   static double ScaleFactor();
 
  private:
+  /// The parsed value of a declared flag, or null when it was not given.
+  const std::string* Find(const std::string& key) const;
+
+  std::set<std::string> known_;
   std::map<std::string, std::string> values_;
 };
 

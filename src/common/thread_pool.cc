@@ -8,10 +8,46 @@
 namespace duet {
 
 namespace {
-// Nested ParallelFor calls from inside a worker run serially; the global
-// pool's Wait() tracks all in-flight tasks, so re-entering it from a worker
-// would deadlock.
+// Nested ParallelFor calls from inside a worker run serially: a worker that
+// blocks on its own chunks could occupy every worker and deadlock.
 thread_local bool t_inside_worker = false;
+
+/// Completion latch of one ParallelForChunked call: counts that call's
+/// outstanding chunks and keeps the first exception any of them threw. The
+/// caller waits on this latch alone, never on the pool's global in-flight
+/// count, so concurrent callers do not wait for each other's chunks.
+class ChunkLatch {
+ public:
+  explicit ChunkLatch(int64_t chunks) : remaining_(chunks) {}
+
+  /// Runs one chunk, records its exception (first one wins) and counts it
+  /// down. Notifies under the lock: the waiter cannot observe zero, return
+  /// and destroy the latch until this call has released the mutex.
+  void Run(const std::function<void(int64_t, int64_t)>& fn, int64_t lo, int64_t hi) {
+    std::exception_ptr error;
+    try {
+      fn(lo, hi);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (error && !first_error_) first_error_ = error;
+    if (--remaining_ == 0) done_cv_.notify_all();
+  }
+
+  /// Blocks until every chunk has run, then rethrows the first exception.
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [this] { return remaining_ == 0; });
+    if (first_error_) std::rethrow_exception(first_error_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable done_cv_;
+  int64_t remaining_;
+  std::exception_ptr first_error_;
+};
 }  // namespace
 
 ThreadPool::ThreadPool(unsigned num_threads) {
@@ -128,24 +164,15 @@ void ParallelForChunked(int64_t begin, int64_t end,
     return;
   }
   const int64_t chunk = std::max<int64_t>((n + max_chunks - 1) / max_chunks, grain);
-  // First exception thrown by any chunk, rethrown on the calling thread
-  // after the batch drains so callers see the same behavior as the serial
-  // path (and no exception ever reaches a worker's thread entry point).
-  std::mutex error_mu;
-  std::exception_ptr first_error;
+  // The first exception thrown by any chunk is rethrown on the calling
+  // thread after the batch drains, so callers see the same behavior as the
+  // serial path (and no exception ever reaches a worker's thread entry point).
+  ChunkLatch latch((n + chunk - 1) / chunk);
   for (int64_t lo = begin; lo < end; lo += chunk) {
     const int64_t hi = std::min(lo + chunk, end);
-    pool.Submit([&fn, &error_mu, &first_error, lo, hi] {
-      try {
-        fn(lo, hi);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
+    pool.Submit([&latch, &fn, lo, hi] { latch.Run(fn, lo, hi); });
   }
-  pool.Wait();
-  if (first_error) std::rethrow_exception(first_error);
+  latch.Wait();
 }
 
 }  // namespace duet

@@ -74,7 +74,9 @@ class ThreadPool {
 
 /// Runs fn(i) for i in [begin, end) across the pool, splitting the range into
 /// contiguous chunks. Falls back to a serial loop for tiny ranges or when
-/// `parallel` is false (useful to measure single-thread costs).
+/// `parallel` is false (useful to measure single-thread costs). The call
+/// returns once its own chunks have run: it never waits on work that other
+/// callers submitted to the shared pool.
 ///
 /// Exception contract: if fn throws on any chunk, the first exception is
 /// captured, the batch still drains (remaining chunks may or may not run),

@@ -53,21 +53,13 @@ bool MaskedLogSelectivity(const float* logits_row, const std::vector<tensor::Blo
 DuetModel::DuetModel(const data::Table& table, DuetModelOptions options)
     : table_(table), options_(std::move(options)), encoder_(table, options_.encoding) {
   Rng rng(options_.seed);
-  if (options_.backbone == DuetBackbone::kTransformer) {
-    nn::TransformerOptions t_opt;
-    t_opt.input_widths = encoder_.BlockWidths();
-    t_opt.output_widths = table.ColumnNdvs();
-    t_opt.config = options_.transformer;
-    net_ = std::make_unique<nn::BlockTransformer>(std::move(t_opt), rng);
-  } else {
-    nn::MadeOptions made_opt;
-    made_opt.input_widths = encoder_.BlockWidths();
-    made_opt.output_widths = table.ColumnNdvs();
-    made_opt.hidden_sizes = options_.hidden_sizes;
-    made_opt.residual = options_.residual;
-    net_ = std::make_unique<nn::Made>(made_opt, rng);
-  }
-  RegisterChild(*net_);
+  nn::MadeOptions made_opt;
+  made_opt.input_widths = encoder_.BlockWidths();
+  made_opt.output_widths = table.ColumnNdvs();
+  made_opt.hidden_sizes = options_.hidden_sizes;
+  made_opt.residual = options_.residual;
+  made_ = std::make_unique<nn::Made>(made_opt, rng);
+  RegisterChild(*made_);
 }
 
 Tensor DuetModel::EncodeVirtualBatch(const VirtualBatch& batch) const {
@@ -88,18 +80,18 @@ Tensor DuetModel::EncodeVirtualBatch(const VirtualBatch& batch) const {
   return x;
 }
 
-Tensor DuetModel::ForwardLogits(const Tensor& x) const { return net_->Forward(x); }
+Tensor DuetModel::ForwardLogits(const Tensor& x) const { return made_->Forward(x); }
 
 Tensor DuetModel::DataLoss(const VirtualBatch& batch) const {
   const Tensor x = EncodeVirtualBatch(batch);
   const Tensor logits = ForwardLogits(x);
-  const Tensor logp = tensor::LogSoftmaxBlocks(logits, net_->output_blocks());
-  return tensor::NllLossBlocks(logp, net_->output_blocks(), batch.labels);
+  const Tensor logp = tensor::LogSoftmaxBlocks(logits, made_->output_blocks());
+  return tensor::NllLossBlocks(logp, made_->output_blocks(), batch.labels);
 }
 
 
 void DuetModel::FillMaskRow(const std::vector<query::CodeRange>& ranges, float* dst) const {
-  const auto& blocks = net_->output_blocks();
+  const auto& blocks = made_->output_blocks();
   for (int c = 0; c < table_.num_columns(); ++c) {
     const query::CodeRange& r = ranges[static_cast<size_t>(c)];
     float* block = dst + blocks[static_cast<size_t>(c)].offset;
@@ -111,7 +103,7 @@ Tensor DuetModel::SelectivityBatch(const std::vector<query::Query>& queries) con
   DUET_CHECK(!queries.empty());
   const int64_t b = static_cast<int64_t>(queries.size());
   const int64_t d = encoder_.total_width();
-  const int64_t out_dim = net_->output_dim();
+  const int64_t out_dim = made_->output_dim();
   Tensor x = Tensor::Zeros({b, d});
   Tensor mask = Tensor::Zeros({b, out_dim});
   encoder_.EncodeQueryBatch(table_, queries, x.data());
@@ -120,8 +112,8 @@ Tensor DuetModel::SelectivityBatch(const std::vector<query::Query>& queries) con
     FillMaskRow(q.PerColumnRanges(table_), mask.data() + r * out_dim);
   }
   const Tensor logits = ForwardLogits(x);
-  const Tensor probs = tensor::SoftmaxBlocks(logits, net_->output_blocks());
-  const Tensor factors = tensor::MaskedSumBlocks(probs, mask, net_->output_blocks());
+  const Tensor probs = tensor::SoftmaxBlocks(logits, made_->output_blocks());
+  const Tensor factors = tensor::MaskedSumBlocks(probs, mask, made_->output_blocks());
   // Product over columns in log space (numerically safe for 100 columns).
   const Tensor logf = tensor::Log(tensor::ClampMin(factors, kSelEps));
   return tensor::Exp(tensor::SumCols(logf));
@@ -150,7 +142,7 @@ double DuetModel::EstimateSelectivity(const query::Query& query) const {
   // 3-4), done with raw loops - no tensors needed for a single row.
   timer.Reset();
   double log_sel = 0.0;
-  MaskedLogSelectivity(logits.data(), net_->output_blocks(), ranges, table_.num_columns(),
+  MaskedLogSelectivity(logits.data(), made_->output_blocks(), ranges, table_.num_columns(),
                        &log_sel);
   AddPhaseTime(&PhaseTimes::post_ms, timer.Millis());
   return std::exp(log_sel);
@@ -162,8 +154,8 @@ std::vector<double> DuetModel::EstimateSelectivityBatch(
   if (queries.empty()) return {};
   const int64_t total = static_cast<int64_t>(queries.size());
   const int64_t d = encoder_.total_width();
-  const auto& blocks = net_->output_blocks();
-  const int64_t out_dim = net_->output_dim();
+  const auto& blocks = made_->output_blocks();
+  const int64_t out_dim = made_->output_dim();
   const int num_columns = table_.num_columns();
   std::vector<double> sels(static_cast<size_t>(total));
 

@@ -22,23 +22,14 @@
 
 #include "core/encoding.h"
 #include "core/sampler.h"
-#include "nn/backbone.h"
 #include "nn/made.h"
 #include "nn/module.h"
-#include "nn/transformer.h"
 #include "query/estimator.h"
 #include "query/query.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
 namespace duet::core {
-
-/// Which autoregressive network carries the model (paper Sec. V-A4: MADE is
-/// evaluated; a Transformer is anticipated as the higher-capacity variant).
-enum class DuetBackbone : int32_t {
-  kMade = 0,
-  kTransformer = 1,
-};
 
 /// Architecture knobs (defaults follow the paper's Sec. V-A4 choices).
 struct DuetModelOptions {
@@ -47,10 +38,6 @@ struct DuetModelOptions {
   std::vector<int64_t> hidden_sizes = {256, 256};
   /// Use ResMADE residual blocks instead of a plain masked MLP.
   bool residual = false;
-  /// Backbone selection; kMade reproduces the paper's evaluation.
-  DuetBackbone backbone = DuetBackbone::kMade;
-  /// Transformer architecture (used only when backbone == kTransformer).
-  nn::TransformerConfig transformer;
   EncodingOptions encoding;
   uint64_t seed = 1;
 };
@@ -102,8 +89,8 @@ class DuetModel : public nn::Module {
   // Thread-safety: both estimation entry points below are safe to call
   // concurrently from multiple threads while THIS instance's parameters are
   // unchanging (the encoder is stateless, activations live in per-thread
-  // inference arenas, and the masked-weight cache publishes under its own
-  // lock). The PhaseTimes accumulators are guarded by an internal mutex.
+  // inference arenas, and the compiled plan publishes under its own lock).
+  // The PhaseTimes accumulators are guarded by an internal mutex.
   // Training-side methods and optimizer steps must NOT run concurrently
   // with estimation *on the same instance* — online updates instead train
   // a clone (core::CloneModel) and publish it as a new zoo artifact while
@@ -119,30 +106,22 @@ class DuetModel : public nn::Module {
 
   // ----- inference configuration -----
 
-  /// Selects the packed-weight backend used by all masked layers on the
+  /// Selects the packed-weight backend the MADE's compiled plan uses on the
   /// no-grad estimation paths (tensor/packed_weights.h): kDenseF32 keeps
   /// today's bitwise-exact behavior, kCsrF32 streams only nonzero masked
   /// weights (also bitwise-exact), kInt8 quarters weight traffic at bounded
-  /// accuracy cost, kF16 halves it at a much tighter bound. Layers repack
-  /// (and the plan recompiles) lazily on the next forward. Const because
-  /// only inference caches are reconfigured — but configure before sharing
-  /// the model with serving threads: a switch racing in-flight estimates is
-  /// memory-safe yet a racing forward may serve either backend (see
-  /// nn/layers.h).
+  /// accuracy cost, kF16 halves it at a much tighter bound. The plan
+  /// recompiles lazily on the next forward. Const because only the plan
+  /// cache is reconfigured — but configure before sharing the model with
+  /// serving threads: a switch racing in-flight estimates is memory-safe
+  /// yet a racing forward may serve either backend.
   void SetInferenceBackend(tensor::WeightBackend backend) const override {
-    net_->SetInferenceBackend(backend);
+    made_->SetInferenceBackend(backend);
   }
 
-  /// Bytes currently held by the packed-weight caches including the
-  /// compiled plan (0 until the first no-grad forward populates them).
-  uint64_t CachedBytes() const override { return net_->CachedBytes(); }
-
-  /// Compiled-plan controls/observability, forwarded to the backbone (the
-  /// MADE backbone compiles plans; the Transformer falls back to the
-  /// uncompiled path and reports zeros).
-  void SetPlanEnabled(bool enabled) const override { net_->SetPlanEnabled(enabled); }
-  uint64_t PlanBytes() const override { return net_->PlanBytes(); }
-  nn::PlanTelemetry PlanInfo() const override { return net_->PlanInfo(); }
+  /// Compiled-plan observability, forwarded to the MADE.
+  uint64_t PlanBytes() const override { return made_->PlanBytes(); }
+  nn::PlanTelemetry PlanInfo() const override { return made_->PlanInfo(); }
 
   // ----- introspection -----
 
@@ -150,8 +129,8 @@ class DuetModel : public nn::Module {
   /// Architecture the model was built with (what core::CloneModel replays).
   const DuetModelOptions& options() const { return options_; }
   const DuetInputEncoder& encoder() const { return encoder_; }
-  /// The autoregressive network (MADE or BlockTransformer).
-  const nn::Backbone& backbone() const { return *net_; }
+  /// The autoregressive network.
+  const nn::Made& made() const { return *made_; }
   /// Profiling accumulators. Read/Clear only while no estimation is in
   /// flight; accumulation itself is internally locked so concurrent sharded
   /// estimation stays race-free.
@@ -170,7 +149,7 @@ class DuetModel : public nn::Module {
   const data::Table& table_;
   DuetModelOptions options_;
   DuetInputEncoder encoder_;
-  std::unique_ptr<nn::Backbone> net_;
+  std::unique_ptr<nn::Made> made_;
   // Profiling accumulators; guarded so concurrent sharded estimation (the
   // serving engine) does not race on them. The mutex is heap-held so the
   // model stays movable (tests return models by value).
@@ -194,8 +173,6 @@ class DuetEstimator : public query::CardinalityEstimator {
   void SetInferenceBackend(tensor::WeightBackend backend) override {
     model_.SetInferenceBackend(backend);
   }
-  uint64_t PackedWeightBytes() const override { return model_.CachedBytes(); }
-  void SetPlanEnabled(bool enabled) override { model_.SetPlanEnabled(enabled); }
   uint64_t PlanBytes() const override { return model_.PlanBytes(); }
   uint64_t PlanCompileMicros() const override { return model_.PlanInfo().compile_micros; }
   uint64_t PlanCacheHits() const override { return model_.PlanInfo().cache_hits; }

@@ -59,8 +59,6 @@ class DuetMpsnModel : public nn::Module {
   void SetInferenceBackend(tensor::WeightBackend backend) const override {
     made_->SetInferenceBackend(backend);
   }
-  uint64_t CachedBytes() const override { return made_->CachedBytes(); }
-  void SetPlanEnabled(bool enabled) const override { made_->SetPlanEnabled(enabled); }
   uint64_t PlanBytes() const override { return made_->PlanBytes(); }
   nn::PlanTelemetry PlanInfo() const override { return made_->PlanInfo(); }
 
@@ -115,8 +113,6 @@ class DuetMpsnEstimator : public query::CardinalityEstimator {
   void SetInferenceBackend(tensor::WeightBackend backend) override {
     model_.SetInferenceBackend(backend);
   }
-  uint64_t PackedWeightBytes() const override { return model_.CachedBytes(); }
-  void SetPlanEnabled(bool enabled) override { model_.SetPlanEnabled(enabled); }
   uint64_t PlanBytes() const override { return model_.PlanBytes(); }
   uint64_t PlanCompileMicros() const override { return model_.PlanInfo().compile_micros; }
   uint64_t PlanCacheHits() const override { return model_.PlanInfo().cache_hits; }

@@ -1,44 +1,41 @@
 // Compiled inference plans: a module's no-grad forward flattened into a
-// packed-op program.
+// packed-op program — the only inference path of the networks that have one.
 //
-// The uncompiled inference path re-walks the module tree on every forward:
-// virtual dispatch per layer, shape checks per op, one arena tensor per
-// intermediate activation, and a per-layer packed-weights cache lookup
-// (mutex + version compare). None of that work depends on the input — the
-// structure of a frozen network is a compile-time constant. An
-// InferencePlan resolves all of it once: `Module::Compile(backend)` walks
-// Mlp / Made / ResMADE and emits a flat std::vector<PackedOp> program where
-// every op carries its packed-weight handle (with the degree-sorted output
-// permutation applied to masked layers — see tensor/packed_weights.h), a
-// shared bias handle, a fused activation, and pre-resolved scratch-slab
-// ids. Executing the plan is a tight loop over ops writing into a small set
-// of per-thread ping-pong slabs: zero virtual calls, zero allocations in
-// steady state, zero per-layer cache lookups, one output tensor per
-// forward.
+// A layer-by-layer forward re-walks the module tree on every call: virtual
+// dispatch per layer, shape checks per op, one arena tensor per
+// intermediate activation, and (for masked layers) W o M recomputed. None
+// of that work depends on the input — the structure of a frozen network is
+// a compile-time constant. An InferencePlan resolves all of it once:
+// `Compile(backend)` on Mlp / Made / ResMADE walks the layers and emits a
+// flat std::vector<PackedOp> program where every op carries its
+// packed-weight handle (with the degree-sorted output permutation applied
+// to masked layers — see tensor/packed_weights.h), a shared bias handle, a
+// fused activation, and pre-resolved scratch-slab ids. Executing the plan
+// is a tight loop over ops writing into a small set of per-thread
+// ping-pong slabs: zero virtual calls, zero allocations in steady state,
+// one output tensor per forward. Forwards with gradients enabled (training)
+// keep walking the layers; the plan is inference-only.
 //
-// Numerics: plans execute the exact same kernels as the uncompiled packed
-// path (tensor/packed_weights.cc, shared epilogue in ops.cc), so dense and
-// CSR plans are bitwise-equal to the uncompiled forward; int8/f16 carry the
-// same accuracy bounds as their backends.
+// Numerics: dense and CSR plans are bitwise-equal to the tracked forward
+// (same GEMM accumulation order, shared epilogue in ops.cc); int8/f16/int4
+// carry the accuracy bounds of their backends.
 //
-// Caching & invalidation (the PR-3 packed-weights rules, lifted to whole
-// programs): a module caches one plan per (backend, ParameterVersion) in an
-// InferencePlanCache. The cached plan is stamped with
-// tensor::ParameterVersion() and recompiled lazily whenever the global
+// Caching & invalidation: a module caches one plan per (backend,
+// ParameterVersion) in an InferencePlanCache. The cached plan is stamped
+// with tensor::ParameterVersion() and recompiled lazily whenever the global
 // counter moved (optimizer step, Module::Load, ParameterMutationGuard) or
 // the requested backend changed. Publication is an atomic pointer swap
 // under the cache mutex: a concurrent forward either holds the old
 // immutable plan or the new one, never a torn view — which also makes a
-// whole forward atomic with respect to SetInferenceBackend (the uncompiled
-// path can mix backends across layers mid-switch; a plan cannot).
+// whole forward atomic with respect to SetInferenceBackend (one forward
+// resolves its backend exactly once).
 //
 // Thread-safety: a compiled plan is immutable and safe to execute from any
-// number of threads (execution scratch is thread_local). The cache follows
-// the layer-cache contract: concurrent forwards are safe while the owning
-// module's parameters are unchanging; updating THEM concurrently is never
-// synchronized — online updates train a clone and publish it as a new
-// artifact the zoo serves (see serve/model_registry.h), so no served model
-// is ever trained in place.
+// number of threads (execution scratch is thread_local). Concurrent
+// forwards are safe while the owning module's parameters are unchanging;
+// updating THEM concurrently is never synchronized — online updates train
+// a clone and publish it as a new artifact the zoo serves (see
+// serve/model_registry.h), so no served model is ever trained in place.
 #ifndef DUET_NN_INFERENCE_PLAN_H_
 #define DUET_NN_INFERENCE_PLAN_H_
 
@@ -175,8 +172,7 @@ class PlanBuilder {
   std::vector<PackedOp> ops_;         // src/dst hold value ids until Finish
 };
 
-/// Per-module compiled-plan cache slot (the plan analogue of
-/// PackedWeightsCache in nn/layers.h). `version` stamps the
+/// Per-module compiled-plan cache slot. `version` stamps the
 /// tensor::ParameterVersion() under which `plan` was compiled; the slot is
 /// recompiled under `mu` whenever the counter moved or `requested` changed,
 /// and a fresh plan is published as a new shared_ptr so concurrent readers
@@ -187,10 +183,8 @@ struct InferencePlanCache {
   std::shared_ptr<const InferencePlan> plan;
   uint64_t version = 0;
   /// Backend selected by SetInferenceBackend (release-stored there,
-  /// acquire-loaded per forward; see the publication note in nn/layers.h).
+  /// acquire-loaded per forward).
   std::atomic<tensor::WeightBackend> requested{tensor::WeightBackend::kDenseF32};
-  /// SetPlanEnabled toggle; checked per no-grad forward.
-  std::atomic<bool> enabled{true};
   // Telemetry (PlanTelemetry snapshot source).
   std::atomic<uint64_t> compiles{0};
   std::atomic<uint64_t> compile_micros{0};

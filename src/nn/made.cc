@@ -105,31 +105,7 @@ Made::Made(MadeOptions options, Rng& rng)
 }
 
 void Made::SetInferenceBackend(tensor::WeightBackend backend) const {
-  for (const MaskedLinear& l : layers_) l.SetInferenceBackend(backend);
-  if (res_input_) res_input_->SetInferenceBackend(backend);
-  for (const MaskedLinear& l : res_layers_) l.SetInferenceBackend(backend);
-  if (res_output_) res_output_->SetInferenceBackend(backend);
   plan_cache_->requested.store(backend, std::memory_order_release);
-}
-
-void Made::SetPlanEnabled(bool enabled) const {
-  plan_cache_->enabled.store(enabled, std::memory_order_release);
-  if (!enabled) {
-    // Reclaim the compiled program: a disabled plan would otherwise sit
-    // allocated forever and keep counting toward PlanBytes()/CachedBytes().
-    // In-flight forwards holding the shared_ptr stay valid.
-    std::lock_guard<std::mutex> lock(plan_cache_->mu);
-    plan_cache_->plan.reset();
-    plan_cache_->version = 0;
-  } else {
-    // Symmetric reclaim: the plan path never reads the per-layer packs, so
-    // packs built while plans were off would sit allocated unused (and
-    // double-count in CachedBytes on top of the plan's packs).
-    for (const MaskedLinear& l : layers_) l.DropPackedCache();
-    if (res_input_) res_input_->DropPackedCache();
-    for (const MaskedLinear& l : res_layers_) l.DropPackedCache();
-    if (res_output_) res_output_->DropPackedCache();
-  }
 }
 
 uint64_t Made::PlanBytes() const {
@@ -139,22 +115,14 @@ uint64_t Made::PlanBytes() const {
 
 PlanTelemetry Made::PlanInfo() const { return plan_cache_->Snapshot(); }
 
-uint64_t Made::CachedBytes() const {
-  uint64_t bytes = PlanBytes();
-  for (const MaskedLinear& l : layers_) bytes += l.CachedBytes();
-  if (res_input_) bytes += res_input_->CachedBytes();
-  for (const MaskedLinear& l : res_layers_) bytes += l.CachedBytes();
-  if (res_output_) bytes += res_output_->CachedBytes();
-  return bytes;
-}
-
 std::shared_ptr<const InferencePlan> Made::Compile(tensor::WeightBackend backend) const {
   // Every masked layer gets the degree-sorted output permutation: the
   // derived column sort turns each mask row into a single contiguous run in
   // packed space (CSR degenerates to one (start,len) per row; dense/int8/
   // f16 skip the structural-zero tail), and the fused gathering epilogue
   // keeps activations in the original layout — so the program below mirrors
-  // Forward() op for op and dense/CSR plans stay bitwise-equal to it.
+  // the tracked layer walk in Forward() op for op and dense/CSR plans stay
+  // bitwise-equal to it.
   PlanBuilder b(backend, input_dim_);
   if (!options_.residual) {
     int h = PlanBuilder::kInput;
@@ -188,8 +156,7 @@ std::shared_ptr<const InferencePlan> Made::Compile(tensor::WeightBackend backend
 Tensor Made::Forward(const Tensor& x) const {
   DUET_CHECK_EQ(x.ndim(), 2);
   DUET_CHECK_EQ(x.dim(1), input_dim_);
-  if (!tensor::NoGradGuard::GradEnabled() &&
-      plan_cache_->enabled.load(std::memory_order_acquire)) {
+  if (!tensor::NoGradGuard::GradEnabled()) {
     const auto plan = GetOrCompilePlan(
         *plan_cache_, [this](tensor::WeightBackend backend) { return Compile(backend); });
     return plan->Execute(x);

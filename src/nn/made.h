@@ -8,20 +8,14 @@
 // autoregressive property: output block i depends only on input blocks < i,
 // so column 0's head is input-independent (its marginal lives in the bias).
 //
-// Every masked layer (plain MADE and both ResMADE paths) routes through
-// MaskedLinear, so inference forwards inherit its packed-weights cache: with
-// gradients disabled, W o M is packed once per parameter version instead of
-// materialized per forward, in the backend chosen via SetInferenceBackend
-// (dense fp32 / CSR sparse / int8 / f16 — see nn/layers.h and
-// tensor/packed_weights.h for the formats and invalidation rules).
-// Forward is safe to call concurrently while parameters are frozen.
-//
-// Compiled plans: by default a no-grad Forward executes through a compiled
-// InferencePlan (nn/inference_plan.h) — the whole layer walk flattened into
-// a packed-op program with the degree-sorted output permutation applied to
-// every masked layer, cached per (backend, parameter version). Dense/CSR
-// plans are bitwise-equal to the uncompiled path; SetPlanEnabled(false)
-// restores the per-layer path.
+// Inference: a no-grad Forward executes through a compiled InferencePlan
+// (nn/inference_plan.h) — the whole layer walk flattened into a packed-op
+// program with the degree-sorted output permutation applied to every masked
+// layer, cached per (backend, parameter version) in the backend chosen via
+// SetInferenceBackend (dense fp32 / CSR sparse / int8 / f16 / int4 — see
+// tensor/packed_weights.h for the formats). Dense/CSR plans are
+// bitwise-equal to the tracked forward that training runs. Forward is safe
+// to call concurrently while parameters are frozen.
 #ifndef DUET_NN_MADE_H_
 #define DUET_NN_MADE_H_
 
@@ -30,7 +24,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "nn/backbone.h"
 #include "nn/layers.h"
 #include "nn/module.h"
 #include "tensor/ops.h"
@@ -51,38 +44,32 @@ struct MadeOptions {
   bool residual = false;
 };
 
-/// Column-blocked masked autoregressive network.
-class Made : public Backbone {
+/// Column-blocked masked autoregressive network: output block i is a
+/// function of input blocks strictly before i.
+class Made : public Module {
  public:
   Made(MadeOptions options, Rng& rng);
 
   /// x: [B, sum(input_widths)] -> logits [B, sum(output_widths)].
-  tensor::Tensor Forward(const tensor::Tensor& x) const override;
+  tensor::Tensor Forward(const tensor::Tensor& x) const;
 
   /// Output logit block layout, one block per column.
-  const std::vector<tensor::BlockSpec>& output_blocks() const override { return out_blocks_; }
+  const std::vector<tensor::BlockSpec>& output_blocks() const { return out_blocks_; }
 
   /// Input block layout, one block per column.
-  const std::vector<tensor::BlockSpec>& input_blocks() const override { return in_blocks_; }
+  const std::vector<tensor::BlockSpec>& input_blocks() const { return in_blocks_; }
 
-  int64_t input_dim() const override { return input_dim_; }
-  int64_t output_dim() const override { return output_dim_; }
-  int num_columns() const override {
-    return static_cast<int>(options_.input_widths.size());
-  }
+  int64_t input_dim() const { return input_dim_; }
+  int64_t output_dim() const { return output_dim_; }
+  int num_columns() const { return static_cast<int>(options_.input_widths.size()); }
 
-  /// Forwards the backend selection to every masked layer (both the plain
-  /// and the ResMADE path) and to the plan cache; each repacks/recompiles
-  /// lazily on its next no-grad forward.
+  /// Selects the backend the plan compiles to (recompiled lazily on the
+  /// next no-grad forward).
   void SetInferenceBackend(tensor::WeightBackend backend) const override;
-
-  /// Total packed-cache bytes across all masked layers + the compiled plan.
-  uint64_t CachedBytes() const override;
 
   /// Flattens the (Res)MADE layer walk into a packed-op program with the
   /// degree-sorted output permutation applied to every masked layer.
-  std::shared_ptr<const InferencePlan> Compile(tensor::WeightBackend backend) const override;
-  void SetPlanEnabled(bool enabled) const override;
+  std::shared_ptr<const InferencePlan> Compile(tensor::WeightBackend backend) const;
   uint64_t PlanBytes() const override;
   PlanTelemetry PlanInfo() const override;
 

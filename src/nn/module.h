@@ -3,23 +3,18 @@
 #define DUET_NN_MODULE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/serialize.h"
 #include "tensor/tensor.h"
 
 namespace duet::tensor {
-// Opaque declaration (definition: tensor/packed_weights.h); layers with a
-// packed cache include the full header, plain modules do not need it.
+// Opaque declaration (definition: tensor/packed_weights.h); modules that
+// compile plans include the full header, plain modules do not need it.
 enum class WeightBackend : int32_t;
 }  // namespace duet::tensor
 
 namespace duet::nn {
-
-// Opaque declaration (definition: nn/inference_plan.h); only modules that
-// compile plans pull in the full header.
-class InferencePlan;
 
 /// Compiled-plan cache telemetry (serving observability; summed over
 /// children by container modules). `compile_micros` is wall time spent
@@ -46,7 +41,7 @@ class Module {
   Module() = default;
   virtual ~Module() = default;
   // Explicit noexcept moves: the virtual destructor would otherwise
-  // suppress them, and containers of move-only layers (packed caches hold a
+  // suppress them, and containers of move-only modules (plan caches hold a
   // mutex behind a unique_ptr) need nothrow moves so vector reallocation
   // never falls back to the deleted copy path.
   Module(Module&&) noexcept = default;
@@ -54,48 +49,24 @@ class Module {
   Module(const Module&) = default;
   Module& operator=(const Module&) = default;
 
-  /// Selects the inference-side packed-weight backend (see
-  /// tensor/packed_weights.h). Layers with a packed cache repack lazily on
-  /// their next no-grad forward; container modules forward the call to their
-  /// children; leaves without packed weights ignore it (default). Const
-  /// because it only reconfigures inference caches, never the trainable
-  /// parameters. Packs and plans publish atomically, so a switch racing
-  /// in-flight forwards is memory-safe — but a racing forward may serve
-  /// either backend, so configure a model before sharing it.
+  /// Selects the packed-weight backend (see tensor/packed_weights.h) that
+  /// this module's compiled inference plans use; plans recompile lazily on
+  /// the next no-grad forward. Container modules forward the call to their
+  /// children; modules without plans ignore it (default). Const because it
+  /// only reconfigures the plan cache, never the trainable parameters.
+  /// Plans publish atomically, so a switch racing in-flight forwards is
+  /// memory-safe — but a racing forward may serve either backend, so
+  /// configure a model before sharing it.
   virtual void SetInferenceBackend(tensor::WeightBackend backend) const {
     (void)backend;
   }
 
-  /// Bytes currently held by inference-side packed-weight caches (0 when no
-  /// cache has been built). Container modules sum over their children. This
-  /// is the observability hook for the cache's memory cost: a dense packed
-  /// cache doubles a masked layer's weight memory, CSR roughly halves the
-  /// extra copy, int8 quarters it, f16 halves it. Modules that compile
-  /// inference plans include their plan's packed weights here (the plan IS
-  /// the packed-weight cache on the compiled path).
-  virtual uint64_t CachedBytes() const { return 0; }
-
-  /// Compiles this module's no-grad forward into a flat packed-op program
-  /// (see nn/inference_plan.h), or returns null for modules without a
-  /// compilable forward (the default). Called by the plan cache, not
-  /// per-forward; implementations walk their layers and pack weights for
-  /// `backend`.
-  virtual std::shared_ptr<const InferencePlan> Compile(tensor::WeightBackend backend) const {
-    (void)backend;
-    return nullptr;
-  }
-
-  /// Enables/disables compiled-plan execution for no-grad forwards (default
-  /// on for modules that support it; containers forward to children).
-  /// Disabling also frees the cached program, so PlanBytes() drops to 0.
-  /// Like SetInferenceBackend, the toggle publishes atomically but is not
-  /// deterministic under racing forwards — configure before sharing.
-  virtual void SetPlanEnabled(bool enabled) const { (void)enabled; }
-
-  /// Bytes held by the compiled plan's packed weights (0 when no plan is
-  /// compiled or the module does not compile plans). Already included in
-  /// CachedBytes(); exposed separately so callers can report the plan
-  /// footprint on its own.
+  /// Bytes held by the compiled plans' packed weights (0 when no plan is
+  /// compiled or the module does not compile plans; containers sum over
+  /// children). Plans are the only inference-side weight cache, so this is
+  /// the whole cost of the backend choice: a dense plan copies each masked
+  /// layer's W o M, CSR roughly halves that copy, int8 quarters it, f16
+  /// halves it.
   virtual uint64_t PlanBytes() const { return 0; }
 
   /// Plan-cache telemetry (zeros for modules without plans; containers sum

@@ -27,7 +27,7 @@ namespace duet::query {
 /// synchronization. The in-tree neural estimators comply: activations live
 /// in per-thread inference arenas, sampling-based estimators (Naru/UAE)
 /// derive their randomness from per-query deterministic seeds rather than a
-/// shared RNG, and Duet/MPSN's masked-weight caches publish under internal
+/// shared RNG, and Duet/MPSN's compiled plans publish under internal
 /// locks. Training, fine-tuning and checkpoint loading are NOT safe
 /// concurrently with estimation *on the same model instance*. Online
 /// updates therefore never mutate a served model in place: they fine-tune a
@@ -52,27 +52,18 @@ class CardinalityEstimator {
   /// batch across threads without changing results).
   virtual std::vector<double> EstimateSelectivityBatch(const std::vector<Query>& queries);
 
-  /// Selects the inference-side packed-weight backend (dense fp32 / CSR
-  /// sparse / int8 / f16 — see tensor/packed_weights.h). Estimators without
-  /// a packed weight path ignore it (default). Configure before sharing the
-  /// estimator with serving threads: with estimates in flight the switch is
-  /// memory-safe (packs and plans publish atomically — no torn views, see
-  /// nn/layers.h), but a racing forward may serve either backend.
+  /// Selects the packed-weight backend (dense fp32 / CSR sparse / int8 /
+  /// f16 / int4 — see tensor/packed_weights.h) of the compiled inference
+  /// plans. Estimators without plans ignore it (default). Configure before
+  /// sharing the estimator with serving threads: with estimates in flight
+  /// the switch is memory-safe (plans publish atomically — no torn views,
+  /// see nn/inference_plan.h), but a racing forward may serve either
+  /// backend.
   virtual void SetInferenceBackend(tensor::WeightBackend backend) { (void)backend; }
 
-  /// Bytes currently held by packed-weight inference caches, including the
-  /// compiled plan's packs (0 for estimators without one, or before the
-  /// first estimate populates them).
-  virtual uint64_t PackedWeightBytes() const { return 0; }
-
-  /// Enables/disables compiled-plan execution (nn/inference_plan.h) for
-  /// no-grad forwards. Default on for neural estimators; model-free
-  /// estimators ignore it. Configure before sharing, like
-  /// SetInferenceBackend.
-  virtual void SetPlanEnabled(bool enabled) { (void)enabled; }
-
-  /// Bytes held by compiled inference plans (0 without plan support or
-  /// before the first no-grad forward compiles one).
+  /// Bytes held by compiled inference plans — the only inference-side
+  /// weight cache (0 without plan support or before the first no-grad
+  /// forward compiles one).
   virtual uint64_t PlanBytes() const { return 0; }
 
   /// Cumulative wall-clock microseconds spent compiling inference plans.

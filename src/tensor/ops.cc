@@ -1,7 +1,6 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "common/logging.h"
@@ -44,8 +43,6 @@ int64_t Cols(const Tensor& t) { return t.ndim() == 1 ? t.dim(0) : t.dim(1); }
 // in a 4x16 register-blocked micro-kernel. For every C element the
 // accumulation order is k-ascending regardless of tile placement, so results
 // do not depend on the batch size or thread count.
-
-std::atomic<bool> g_use_scalar_kernels{false};
 
 constexpr int64_t kMr = 4;    // micro-kernel rows
 constexpr int64_t kNr = 16;   // micro-kernel cols
@@ -139,36 +136,6 @@ void GemmTiled(const float* A, const float* B, float* C, int64_t M, int64_t K, i
       parallel, /*grain=*/1);
 }
 
-/// Scalar reference: the original triple loop with the zero-skip.
-void GemmScalarRef(const float* A, const float* B, float* C, int64_t M, int64_t K, int64_t N,
-                   bool parallel) {
-  ParallelForChunked(
-      0, M,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t r = lo; r < hi; ++r) {
-          const float* arow = A + r * K;
-          float* crow = C + r * N;
-          for (int64_t k = 0; k < K; ++k) {
-            const float av = arow[k];
-            if (av == 0.0f) continue;
-            const float* brow = B + k * N;
-            for (int64_t c = 0; c < N; ++c) crow[c] += av * brow[c];
-          }
-        }
-      },
-      parallel, /*grain=*/8);
-}
-
-/// C += A x B for either kernel selection.
-inline void GemmAccum(const float* A, const float* B, float* C, int64_t M, int64_t K,
-                      int64_t N, bool parallel) {
-  if (g_use_scalar_kernels.load(std::memory_order_relaxed)) {
-    GemmScalarRef(A, B, C, M, K, N, parallel);
-  } else {
-    GemmTiled(A, B, C, M, K, N, parallel);
-  }
-}
-
 /// Dot-form accumulate: C[m,n] += dot(A_m, B_n) over the contiguous last
 /// axis; A:[M,L], B:[N,L], C:[M,N]. This is dX += dY x W^T with W:[N,L].
 void GemmDotAccum(const float* A, const float* B, float* C, int64_t M, int64_t N, int64_t L,
@@ -214,36 +181,6 @@ void GemmAtBAccum(const float* A, const float* G, float* C, int64_t M, int64_t K
       parallel, /*grain=*/8);
 }
 
-/// Scalar-reference dX: the original dot loop (no omp simd reduction), used
-/// when the scalar flag is set so backward is also a faithful reference.
-void GemmDotScalarRef(const float* A, const float* B, float* C, int64_t M, int64_t N,
-                      int64_t L, bool parallel) {
-  ParallelForChunked(
-      0, M,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t m = lo; m < hi; ++m) {
-          const float* arow = A + m * L;
-          float* crow = C + m * N;
-          for (int64_t n = 0; n < N; ++n) {
-            const float* brow = B + n * L;
-            float acc = 0.0f;
-            for (int64_t k = 0; k < L; ++k) acc += arow[k] * brow[k];
-            crow[n] += acc;
-          }
-        }
-      },
-      parallel, /*grain=*/8);
-}
-
-inline void GemmDot(const float* A, const float* B, float* C, int64_t M, int64_t N, int64_t L,
-                    bool parallel) {
-  if (g_use_scalar_kernels.load(std::memory_order_relaxed)) {
-    GemmDotScalarRef(A, B, C, M, N, L, parallel);
-  } else {
-    GemmDotAccum(A, B, C, M, N, L, parallel);
-  }
-}
-
 /// Shared fused bias+activation epilogue over [B, O] rows. One pass adds the
 /// bias and applies the activation while the output rows are still
 /// cache-hot. Rows are independent, so it splits across the pool exactly
@@ -286,12 +223,6 @@ void BiasActRows(float* cp, const float* bp, int64_t b, int64_t o, Activation ac
 
 }  // namespace
 
-void SetUseScalarKernels(bool use) {
-  g_use_scalar_kernels.store(use, std::memory_order_relaxed);
-}
-
-bool UseScalarKernels() { return g_use_scalar_kernels.load(std::memory_order_relaxed); }
-
 Tensor MatMul(const Tensor& a, const Tensor& w) {
   DUET_CHECK_EQ(a.ndim(), 2);
   DUET_CHECK_EQ(w.ndim(), 2);
@@ -299,7 +230,7 @@ Tensor MatMul(const Tensor& a, const Tensor& w) {
   DUET_CHECK_EQ(i_dim, w.dim(0));
   const bool track = TrackGrad({&a, &w});
   Tensor out = MakeResult({b, o}, track, {a.impl(), w.impl()});
-  GemmAccum(a.data(), w.data(), out.data(), b, i_dim, o, GemmParallel(b, i_dim, o));
+  GemmTiled(a.data(), w.data(), out.data(), b, i_dim, o, GemmParallel(b, i_dim, o));
   if (track) {
     TensorImpl* ai = a.impl().get(); TensorImpl* wi = w.impl().get(); TensorImpl* oi = out.impl().get();
     out.impl()->backward = [ai, wi, oi, b, i_dim, o]() {
@@ -308,7 +239,7 @@ Tensor MatMul(const Tensor& a, const Tensor& w) {
       if (ai->requires_grad || !ai->parents.empty() || ai->backward) {
         ai->EnsureGrad();
         // dA[r,k] = sum_c gout[r,c] * W[k,c]
-        GemmDot(gout, wi->value.data(), ai->grad.data(), b, i_dim, o, par);
+        GemmDotAccum(gout, wi->value.data(), ai->grad.data(), b, i_dim, o, par);
       }
       {
         wi->EnsureGrad();
@@ -331,7 +262,7 @@ Tensor MatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& bias, Activ
   Tensor out = MakeResult({b, o}, track, {a.impl(), w.impl(), bias.impl()});
   float* cp = out.data();
   const bool par = GemmParallel(b, i_dim, o);
-  GemmAccum(a.data(), w.data(), cp, b, i_dim, o, par);
+  GemmTiled(a.data(), w.data(), cp, b, i_dim, o, par);
   BiasActRows(cp, bias.data(), b, o, act, par);
   if (track) {
     TensorImpl* ai = a.impl().get(); TensorImpl* wi = w.impl().get();
@@ -365,7 +296,7 @@ Tensor MatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& bias, Activ
       const bool par = GemmParallel(b, i_dim, o);
       if (ai->requires_grad || !ai->parents.empty() || ai->backward) {
         ai->EnsureGrad();
-        GemmDot(gp, wi->value.data(), ai->grad.data(), b, i_dim, o, par);
+        GemmDotAccum(gp, wi->value.data(), ai->grad.data(), b, i_dim, o, par);
       }
       wi->EnsureGrad();
       GemmAtBAccum(ai->value.data(), gp, wi->grad.data(), b, i_dim, o, par);
@@ -1096,7 +1027,7 @@ void RawMatMulBiasAct(const float* a, const float* w, const float* bias, int64_t
                       int64_t k, int64_t n, Activation act, float* out) {
   std::fill(out, out + m * n, 0.0f);
   const bool par = GemmParallel(m, k, n);
-  GemmAccum(a, w, out, m, k, n, par);
+  GemmTiled(a, w, out, m, k, n, par);
   BiasActRows(out, bias, m, n, act, par);
 }
 

@@ -58,12 +58,6 @@ void RawMatMulBiasAct(const float* a, const float* w, const float* bias, int64_t
 void RawBiasAct(float* c, const float* bias, int64_t b, int64_t o, Activation act,
                 bool parallel);
 
-/// Routes MatMul / MatMulBiasAct through the original scalar triple-loop
-/// kernels (forward and backward). Correctness reference for the tiled GEMM
-/// tests; never enabled on hot paths.
-void SetUseScalarKernels(bool use);
-bool UseScalarKernels();
-
 /// Elementwise ops over equal shapes.
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);

@@ -544,18 +544,4 @@ void PackedLinearForward(const PackedWeights& w, const float* x, int64_t batch,
                   parallel);
 }
 
-Tensor PackedMatMulBiasAct(const Tensor& a, const PackedWeights& w, const Tensor& bias,
-                           Activation act) {
-  DUET_CHECK(!NoGradGuard::GradEnabled())
-      << "PackedMatMulBiasAct is inference-only (no autograd graph)";
-  DUET_CHECK_EQ(a.ndim(), 2);
-  DUET_CHECK_EQ(a.dim(1), w.in);
-  DUET_CHECK_EQ(bias.ndim(), 1);
-  DUET_CHECK_EQ(bias.dim(0), w.out);
-  const int64_t b = a.dim(0);
-  Tensor out = Tensor::Zeros({b, w.out});
-  PackedLinearForward(w, a.data(), b, bias.data(), act, out.data());
-  return out;
-}
-
 }  // namespace duet::tensor

@@ -299,23 +299,16 @@ uint64_t PackWeightsCalls();
 /// the identity (callers then skip the permutation and its epilogue gather).
 std::vector<int32_t> DegreeSortPermutation(const Tensor& w);
 
-/// Fused packed dense layer: act(a x W_packed + bias) for a:[B,I], bias:[O].
-/// Inference-only — must run with gradient tracking disabled (the packed
-/// form has no autograd graph). kDenseF32 dispatches to the standard tiled
-/// GEMM / zero-skip GEMV (bitwise-identical to MatMulBiasAct on the dense
-/// matrix); kCsrF32 runs the sparse kernels (bitwise-identical, see header
-/// comment); kInt8/kF16/kInt4 accumulate in fp32 and fuse
-/// dequant+bias+activation (int4's per-group scale inside the sweep, int8's
-/// per-channel scale in the epilogue).
-Tensor PackedMatMulBiasAct(const Tensor& a, const PackedWeights& w, const Tensor& bias,
-                           Activation act);
-
 /// Raw-buffer fused forward: out[b, w.out] = act(x[b, w.in] x W + bias) for
 /// x:[batch, w.in] row-major, overwriting out[batch * w.out]. This is the
-/// execution kernel behind both PackedMatMulBiasAct and the compiled
-/// inference plans (nn/inference_plan.h): no Tensor temporaries, no
-/// virtual dispatch, row-parallel over the pool above the same work
-/// threshold as the dense GEMM. Inference-only.
+/// execution kernel of the compiled inference plans (nn/inference_plan.h):
+/// no Tensor temporaries, no virtual dispatch, row-parallel over the pool
+/// above the same work threshold as the dense GEMM. kDenseF32 dispatches to
+/// the standard tiled GEMM / zero-skip GEMV (bitwise-identical to
+/// MatMulBiasAct on the dense matrix); kCsrF32 runs the sparse kernels
+/// (bitwise-identical, see header comment); kInt8/kF16/kInt4 accumulate in
+/// fp32 and fuse dequant+bias+activation (int4's per-group scale inside the
+/// sweep, int8's per-channel scale in the epilogue). Inference-only.
 void PackedLinearForward(const PackedWeights& w, const float* x, int64_t batch,
                          const float* bias, Activation act, float* out);
 

@@ -87,8 +87,8 @@ class InferenceArena {
 /// Monotonic counter identifying the current "version" of the model
 /// parameters in this process. Every optimizer step (`Adam::Step`,
 /// `Sgd::Step`) and every checkpoint load (`nn::Module::Load`) bumps it;
-/// inference-side caches derived from parameters (e.g. the masked-weight
-/// cache in `nn::MaskedLinear`) compare their stamp against this counter and
+/// inference-side caches derived from parameters (the compiled-plan caches
+/// of `nn::Made` / `nn::Mlp`) compare their stamp against this counter and
 /// rebuild when stale. Code that mutates parameter storage directly through
 /// raw `data()` pointers must call BumpParameterVersion() itself, otherwise
 /// such caches will serve stale derived values.

@@ -7,7 +7,7 @@
 //  * kInt8 is accuracy-bounded per layer (|err_j| <= 0.5 * scale_j *
 //    sum|x|) and end-to-end (median q-error within 1% of fp32 on the
 //    seeded synthetic workload),
-//  * every backend obeys the packed-cache coherence rules (optimizer step,
+//  * every backend obeys the plan-cache coherence rules (optimizer step,
 //    checkpoint load, ParameterMutationGuard) and the batch-invariance
 //    contract the serving engine shards under.
 #include <algorithm>
@@ -165,22 +165,31 @@ void ExpectLayerParity(const Tensor& got, const Tensor& reference, WeightBackend
   }
 }
 
+/// One packed layer forward: act(x W_packed + bias) through the kernel the
+/// compiled plans execute.
+Tensor PackedLayerForward(const Tensor& x, const tensor::PackedWeights& w, const Tensor& bias,
+                          tensor::Activation act) {
+  tensor::NoGradScope no_grad;
+  Tensor out = Tensor::Zeros({x.dim(0), w.out});
+  tensor::PackedLinearForward(w, x.data(), x.dim(0), bias.data(), act, out.data());
+  return out;
+}
+
+/// A masked layer's effective weight W o M packed per backend vs the
+/// tracked fp32 MatMulBiasAct over the same W o M.
 TEST_P(BackendTest, MaskedLinearMatchesTrackedReference) {
   const WeightBackend backend = GetParam();
   for (uint64_t seed : {3u, 4u, 5u}) {
     Rng rng(seed);
     const int64_t in = 40 + static_cast<int64_t>(seed), out = 23 + static_cast<int64_t>(seed);
     nn::MaskedLinear layer(in, out, CheckeredMask(in, out), rng);
-    layer.SetInferenceBackend(backend);
+    const Tensor wm = layer.EffectiveWeightCopy();
+    const auto packed = tensor::PackWeights(wm, backend);
     for (int64_t b : {1, 5}) {
       const Tensor x = RandomInput(b, in, seed * 101);
-      const Tensor reference = layer.Forward(x).Clone();  // tracked fp32 path
-      Tensor got;
-      {
-        tensor::NoGradScope no_grad;
-        got = layer.Forward(x).Clone();
-      }
-      const Tensor wm = tensor::Mul(layer.weight(), layer.mask());
+      const Tensor reference =
+          tensor::MatMulBiasAct(x, wm, layer.bias(), tensor::Activation::kNone).Clone();
+      const Tensor got = PackedLayerForward(x, *packed, layer.bias(), tensor::Activation::kNone);
       ExpectLayerParity(got, reference, backend, x, wm);
     }
   }
@@ -190,14 +199,10 @@ TEST_P(BackendTest, LinearMatchesTrackedReference) {
   const WeightBackend backend = GetParam();
   Rng rng(9);
   nn::Linear layer(31, 17, rng);
-  layer.SetInferenceBackend(backend);
+  const auto packed = tensor::PackWeights(layer.EffectiveWeightCopy(), backend);
   const Tensor x = RandomInput(4, 31, 77);
   const Tensor reference = layer.Forward(x).Clone();
-  Tensor got;
-  {
-    tensor::NoGradScope no_grad;
-    got = layer.Forward(x).Clone();
-  }
+  const Tensor got = PackedLayerForward(x, *packed, layer.bias(), tensor::Activation::kNone);
   ExpectLayerParity(got, reference, backend, x, layer.weight());
 }
 
@@ -275,51 +280,60 @@ TEST_P(BackendTest, EstimatesAreBatchSizeInvariant) {
   }
 }
 
-/// Cache invalidation (the test_serve masked-weight cache suite, rerun per
-/// backend): an optimizer step must repack, and the repacked forward must
-/// match a cache-cold layer bitwise.
+/// A small MADE whose no-grad forwards run its compiled plan.
+nn::MadeOptions SmallMadeOptions() {
+  nn::MadeOptions opt;
+  opt.input_widths = {3, 4, 2};
+  opt.output_widths = {4, 3, 2};
+  opt.hidden_sizes = {12, 12};
+  return opt;
+}
+
+/// Plan-cache invalidation (the test_serve plan-cache suite, rerun per
+/// backend): an optimizer step must recompile, and the recompiled forward
+/// must match a cache-cold model bitwise.
 TEST_P(BackendTest, PackedCacheInvalidatedByOptimizerStep) {
   const WeightBackend backend = GetParam();
   Rng rng(5);
-  nn::MaskedLinear layer(6, 4, CheckeredMask(6, 4), rng);
-  layer.SetInferenceBackend(backend);
-  const Tensor x = RandomInput(2, 6, 55);
+  nn::Made made(SmallMadeOptions(), rng);
+  made.SetInferenceBackend(backend);
+  const Tensor x = RandomInput(2, made.input_dim(), 55);
 
-  auto no_grad_forward = [&] {
+  auto no_grad_forward = [&](const nn::Made& net) {
     tensor::NoGradScope scope;
-    return layer.Forward(x).Clone();
+    return net.Forward(x).Clone();
   };
 
-  const Tensor before = no_grad_forward();
+  const Tensor before = no_grad_forward(made);
   {
-    tensor::Sgd sgd({layer.parameters()}, /*lr=*/0.1f);
-    for (const Tensor& p : layer.parameters()) {
+    tensor::Sgd sgd({made.parameters()}, /*lr=*/0.1f);
+    for (const Tensor& p : made.parameters()) {
       Tensor param = p;  // shared handle; grads live on the impl
       float* g = param.grad_data();
       for (int64_t i = 0; i < param.numel(); ++i) g[i] = 1.0f;
     }
     sgd.Step();
   }
-  const Tensor after = no_grad_forward();
+  const Tensor after = no_grad_forward(made);
+  EXPECT_EQ(made.PlanInfo().compiles, 2u) << "optimizer step must recompile the plan";
   EXPECT_NE(after.value_vector(), before.value_vector())
-      << "cache served stale packed weights after an optimizer step";
+      << "plan served stale packed weights after an optimizer step";
 
-  // Cache-cold reference: a fresh layer with identical weights (checkpoint
-  // round-trip) must produce the identical packed forward.
+  // Cache-cold reference: a fresh model with identical weights (checkpoint
+  // round-trip) must produce the identical planned forward.
   std::stringstream buf;
   {
     BinaryWriter w(buf);
-    layer.Save(w);
+    made.Save(w);
   }
   Rng rng2(6);
-  nn::MaskedLinear fresh(6, 4, CheckeredMask(6, 4), rng2);
+  nn::Made fresh(SmallMadeOptions(), rng2);
   fresh.SetInferenceBackend(backend);
   {
     BinaryReader r(buf);
     fresh.Load(r);
   }
-  tensor::NoGradScope scope;
-  EXPECT_EQ(fresh.Forward(x).value_vector(), after.value_vector());
+  EXPECT_EQ(no_grad_forward(fresh).value_vector(), after.value_vector());
 }
 
 /// Checkpoint round-trip through a full model: post-load estimates must be
@@ -391,19 +405,19 @@ TEST(PackedCacheBytesTest, BackendFootprintsAreOrdered) {
   core::DuetModel model(t, opt);
   const std::vector<Query> queries = MakeQueries(t, 4);
 
-  EXPECT_EQ(model.CachedBytes(), 0u) << "no forward yet: cache must be empty";
+  EXPECT_EQ(model.PlanBytes(), 0u) << "no forward yet: no plan may be compiled";
 
   auto bytes_under = [&](WeightBackend b) {
     model.SetInferenceBackend(b);
-    model.EstimateSelectivityBatch(queries);  // populate lazily
-    return model.CachedBytes();
+    model.EstimateSelectivityBatch(queries);  // compile lazily
+    return model.PlanBytes();
   };
   const uint64_t dense = bytes_under(WeightBackend::kDenseF32);
   const uint64_t csr = bytes_under(WeightBackend::kCsrF32);
   const uint64_t int8 = bytes_under(WeightBackend::kInt8);
 
-  // Dense caches a full W o M copy per masked layer (4 bytes/weight; the
-  // PR-2 "silent doubling"). MADE masks are ~50% zeros, so CSR's 8 bytes
+  // A dense plan holds a full W o M copy per masked layer (4 bytes/weight).
+  // MADE masks are ~50% zeros, so CSR's 8 bytes
   // per nonzero lands near dense, and int8 is ~4x smaller than dense.
   EXPECT_GT(dense, 0u);
   EXPECT_LT(csr, dense);
@@ -412,9 +426,9 @@ TEST(PackedCacheBytesTest, BackendFootprintsAreOrdered) {
 }
 
 /// Every Made-backed estimator must forward backend selection and report
-/// its packed cache — not inherit the silent no-op defaults (a regression
-/// here means SetInferenceBackend is ignored and PackedWeightBytes() reads
-/// 0 for that estimator).
+/// its plan bytes — not inherit the silent no-op defaults (a regression
+/// here means SetInferenceBackend is ignored and PlanBytes() reads 0 for
+/// that estimator).
 TEST(PackedCacheBytesTest, NaruEstimatorForwardsBackendAndReportsBytes) {
   const data::Table t = data::CensusLike(200, 5);
   baselines::NaruOptions nopt;
@@ -425,47 +439,11 @@ TEST(PackedCacheBytesTest, NaruEstimatorForwardsBackendAndReportsBytes) {
 
   est.SetInferenceBackend(WeightBackend::kInt8);
   est.EstimateSelectivityBatch(queries);
-  EXPECT_GT(est.PackedWeightBytes(), 0u);
-  EXPECT_EQ(est.PackedWeightBytes(), model.made().CachedBytes());
+  EXPECT_GT(est.PlanBytes(), 0u);
+  EXPECT_EQ(est.PlanBytes(), model.made().PlanBytes());
   // int8 packs are ~4x smaller than the fp32 parameters they shadow.
-  EXPECT_LT(static_cast<double>(est.PackedWeightBytes()),
+  EXPECT_LT(static_cast<double>(est.PlanBytes()),
             model.made().NumParams() * sizeof(float) / 2.0);
-}
-
-TEST(PackedCacheBytesTest, MaskedLinearCachedBytesMatchesBackend) {
-  Rng rng(5);
-  const int64_t in = 64, out = 32;
-  nn::MaskedLinear layer(in, out, CheckeredMask(in, out), rng);
-  const Tensor x = RandomInput(1, in, 3);
-  EXPECT_EQ(layer.CachedBytes(), 0u);
-
-  tensor::NoGradScope no_grad;
-  layer.Forward(x);
-  EXPECT_EQ(layer.CachedBytes(), static_cast<uint64_t>(in * out) * sizeof(float));
-
-  layer.SetInferenceBackend(WeightBackend::kInt8);
-  layer.Forward(x);  // repack on demand
-  EXPECT_EQ(layer.CachedBytes(),
-            static_cast<uint64_t>(in * out) * sizeof(int8_t) +
-                static_cast<uint64_t>(out) * sizeof(float));
-}
-
-TEST(PackedCacheBytesTest, LinearDropsStalePackWhenReturnedToDense) {
-  Rng rng(6);
-  nn::Linear layer(24, 12, rng);
-  const Tensor x = RandomInput(1, 24, 9);
-  tensor::NoGradScope no_grad;
-
-  layer.SetInferenceBackend(WeightBackend::kInt8);
-  layer.Forward(x);
-  EXPECT_GT(layer.CachedBytes(), 0u);
-
-  // Dense inference multiplies by W directly; the int8 pack must not stay
-  // allocated (and counted) behind a path that will never read it.
-  layer.SetInferenceBackend(WeightBackend::kDenseF32);
-  EXPECT_EQ(layer.CachedBytes(), 0u);
-  layer.Forward(x);
-  EXPECT_EQ(layer.CachedBytes(), 0u);
 }
 
 // ----- end-to-end accuracy guard -------------------------------------------
@@ -524,25 +502,26 @@ TEST(ParameterMutationGuardTest, BumpsVersionOnScopeExit) {
 
 TEST(ParameterMutationGuardTest, RawDataMutationUnderGuardInvalidatesPack) {
   Rng rng(8);
-  nn::MaskedLinear layer(8, 6, CheckeredMask(8, 6), rng);
-  layer.SetInferenceBackend(WeightBackend::kCsrF32);
-  const Tensor x = RandomInput(1, 8, 21);
+  nn::Made made(SmallMadeOptions(), rng);
+  made.SetInferenceBackend(WeightBackend::kCsrF32);
+  const Tensor x = RandomInput(1, made.input_dim(), 21);
 
   auto no_grad_forward = [&] {
     tensor::NoGradScope scope;
-    return layer.Forward(x).Clone();
+    return made.Forward(x).Clone();
   };
   const Tensor before = no_grad_forward();
   {
     // The footgun this guard fixes: mutating W through data() used to
     // require remembering a manual BumpParameterVersion() call.
     tensor::ParameterMutationGuard mutation;
-    Tensor w = layer.parameters()[0];
+    Tensor w = made.parameters()[0];
     for (int64_t i = 0; i < w.numel(); ++i) w.data()[i] += 0.25f;
   }
   const Tensor after = no_grad_forward();
+  EXPECT_EQ(made.PlanInfo().compiles, 2u) << "guarded mutation must recompile the plan";
   EXPECT_NE(after.value_vector(), before.value_vector())
-      << "packed cache survived a guarded raw-data() mutation";
+      << "compiled plan survived a guarded raw-data() mutation";
 }
 
 }  // namespace

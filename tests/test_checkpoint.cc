@@ -61,25 +61,6 @@ TEST_F(CheckpointTest, DuetRoundTripReproducesEstimates) {
   std::remove(path.c_str());
 }
 
-TEST_F(CheckpointTest, TransformerBackboneRoundTrip) {
-  DuetModelOptions opt = SmallOptions();
-  opt.backbone = DuetBackbone::kTransformer;
-  opt.transformer.d_model = 16;
-  opt.transformer.num_heads = 2;
-  opt.transformer.num_layers = 1;
-  DuetModel model(table_, opt);
-
-  const std::string path = TempPath("duet_transformer");
-  SaveModuleFile(path, "duet", model);
-  DuetModel reloaded(table_, opt);
-  LoadModuleFile(path, "duet", &reloaded);
-
-  query::Query q;
-  q.predicates.push_back({0, query::PredOp::kLe, 3.0});
-  EXPECT_DOUBLE_EQ(model.EstimateSelectivity(q), reloaded.EstimateSelectivity(q));
-  std::remove(path.c_str());
-}
-
 TEST_F(CheckpointTest, NaruRoundTrip) {
   baselines::NaruOptions nopt;
   nopt.hidden_sizes = {32, 32};

@@ -1,9 +1,14 @@
 // Unit tests for the common substrate: PRNG + distributions, thread pool,
 // stats, serialization, flags.
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/flags.h"
@@ -221,6 +226,67 @@ TEST(ThreadPoolTest, ParallelForChunkedSerialPathAlsoThrows) {
                std::logic_error);
 }
 
+TEST(ThreadPoolTest, ConcurrentCallersWaitOnlyForTheirOwnChunks) {
+  // Caller A parks both of its chunks on a gate, holding 2 of the 4 pool
+  // workers; caller B then runs a small batch on the free workers. B must
+  // return while A is still parked: a call waits for its own chunks, not
+  // for every task in the shared pool. The gate opens on every exit path,
+  // so a failing run reports instead of hanging.
+  ThreadPool::SetGlobalThreads(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool gate_open = false;
+  int parked = 0;
+  std::atomic<bool> b_returned{false};
+  std::atomic<int64_t> b_sum{0};
+  std::thread a, b;
+  struct Cleanup {
+    std::function<void()> fn;
+    ~Cleanup() { fn(); }
+  } cleanup{[&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      gate_open = true;
+    }
+    cv.notify_all();
+    if (a.joinable()) a.join();
+    if (b.joinable()) b.join();
+    ThreadPool::SetGlobalThreads(0);
+  }};
+
+  a = std::thread([&] {
+    ParallelForChunked(
+        0, 2,
+        [&](int64_t, int64_t) {
+          std::unique_lock<std::mutex> lock(mu);
+          ++parked;
+          cv.notify_all();
+          cv.wait(lock, [&] { return gate_open; });
+        },
+        /*parallel=*/true, /*grain=*/1);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10), [&] { return parked == 2; }))
+        << "caller A's chunks never reached the gate";
+  }
+  b = std::thread([&] {
+    ParallelForChunked(
+        0, 64,
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t i = lo; i < hi; ++i) b_sum += i;
+        },
+        /*parallel=*/true, /*grain=*/1);
+    b_returned = true;
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!b_returned && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(b_returned.load()) << "caller B waited on caller A's parked chunks";
+  EXPECT_EQ(b_sum.load(), 64 * 63 / 2);
+}
+
 TEST(StatsTest, PercentileInterpolates) {
   std::vector<double> v = {1, 2, 3, 4};
   EXPECT_DOUBLE_EQ(Percentile(v, 0), 1.0);
@@ -273,8 +339,9 @@ TEST(SerializeTest, TruncatedStreamDies) {
 
 TEST(FlagsTest, ParsesTypes) {
   const char* argv[] = {"prog", "--rows=100", "--lr=0.5", "--verbose", "--name=abc",
-                        "--flag=false"};
-  Flags flags(6, const_cast<char**>(argv));
+                        "--flag=false", "positional"};
+  Flags flags(7, const_cast<char**>(argv),
+              {"rows", "lr", "verbose", "name", "flag", "missing", "nope"});
   EXPECT_EQ(flags.GetInt("rows", 0), 100);
   EXPECT_DOUBLE_EQ(flags.GetDouble("lr", 0.0), 0.5);
   EXPECT_TRUE(flags.GetBool("verbose", false));
@@ -283,6 +350,17 @@ TEST(FlagsTest, ParsesTypes) {
   EXPECT_EQ(flags.GetInt("missing", -7), -7);
   EXPECT_TRUE(flags.Has("rows"));
   EXPECT_FALSE(flags.Has("nope"));
+}
+
+TEST(FlagsDeathTest, UnknownFlagExitsNamingIt) {
+  // A typo must stop the run, not let it proceed on defaults.
+  const char* argv[] = {"prog", "--rows=100", "--rwos=5"};
+  EXPECT_EXIT(Flags(3, const_cast<char**>(argv), {"rows"}), ::testing::ExitedWithCode(2),
+              "unknown flag --rwos");
+  // Reading a name the binary did not declare is a programming error.
+  const char* ok_argv[] = {"prog", "--rows=100"};
+  const Flags flags(2, const_cast<char**>(ok_argv), {"rows"});
+  EXPECT_DEATH(flags.GetInt("queries", 0), "--queries is read but not declared");
 }
 
 }  // namespace

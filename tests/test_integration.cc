@@ -209,7 +209,7 @@ TEST(MemoryScalingTest, UaeHybridNeedsOrdersOfMagnitudeMoreThanDuet) {
   mopt.hidden_sizes = {64, 64};
   core::DuetModel duet(t, mopt);
   const double duet_mb = static_cast<double>(
-                             2048 * (duet.encoder().total_width() + 2 * duet.backbone().output_dim())) *
+                             2048 * (duet.encoder().total_width() + 2 * duet.made().output_dim())) *
                          4.0 / (1024.0 * 1024.0);
   EXPECT_GT(uae_mb, 100.0 * duet_mb);
 }

@@ -1,8 +1,9 @@
-// Serving engine + masked-weight cache: zoo-served estimation must equal the
-// in-memory model's single-thread batch path bitwise across ragged batch
+// Serving engine + cached masked weights: zoo-served estimation must equal
+// the in-memory model's single-thread batch path bitwise across ragged batch
 // sizes, worker counts, packed-weight backends and SIMD tiers, on both the
-// sync sharded path and the async path; the masked-weight cache must be
-// invalidated by optimizer steps, fine-tuning and checkpoint loads; async
+// sync sharded path and the async path; the compiled plan holding the
+// masked weights must be invalidated by optimizer steps, fine-tuning and
+// checkpoint loads; async
 // Submit/Wait must return each query's own estimate regardless of
 // micro-batch grouping.
 #include <cmath>
@@ -15,7 +16,7 @@
 #include "core/trainer.h"
 #include "data/generator.h"
 #include "gtest/gtest.h"
-#include "nn/layers.h"
+#include "nn/made.h"
 #include "query/workload.h"
 #include "serve/serving_engine.h"
 #include "serving_bed.h"
@@ -268,22 +269,25 @@ TEST(ServingEngineTest, DestructorDrainsShedAndQueuedEntriesTogether) {
   }
 }
 
-// The cache unit test: a MaskedLinear forward with gradients disabled must
-// serve cached W o M, and an optimizer step must invalidate it so the next
-// no-grad forward matches the tracked (uncached) path bitwise.
+// The cache unit test: a MADE forward with gradients disabled must serve
+// its compiled plan (cached W o M packs), and an optimizer step must
+// invalidate it so the next no-grad forward matches the tracked (uncached)
+// path bitwise.
 TEST(MaskedWeightCacheTest, InvalidatedByOptimizerStep) {
   Rng rng(5);
-  tensor::Tensor mask = tensor::Tensor::Zeros({6, 4});
-  for (int64_t i = 0; i < mask.numel(); ++i) mask.data()[i] = (i % 3 == 0) ? 0.0f : 1.0f;
-  nn::MaskedLinear layer(6, 4, mask, rng);
-  tensor::Tensor x = tensor::Tensor::Zeros({2, 6});
+  nn::MadeOptions opt;
+  opt.input_widths = {2, 4};
+  opt.output_widths = {3, 2};
+  opt.hidden_sizes = {8};
+  nn::Made made(opt, rng);
+  tensor::Tensor x = tensor::Tensor::Zeros({2, made.input_dim()});
   for (int64_t i = 0; i < x.numel(); ++i) x.data()[i] = 0.1f * static_cast<float>(i % 7) - 0.3f;
 
   auto no_grad_forward = [&] {
     tensor::NoGradScope scope;
-    return layer.Forward(x).Clone();
+    return made.Forward(x).Clone();
   };
-  auto tracked_forward = [&] { return layer.Forward(x).Clone(); };
+  auto tracked_forward = [&] { return made.Forward(x).Clone(); };
 
   // Populate the cache, then check cached == tracked bitwise.
   const tensor::Tensor before_cached = no_grad_forward();
@@ -293,8 +297,8 @@ TEST(MaskedWeightCacheTest, InvalidatedByOptimizerStep) {
   // One SGD step with a synthetic gradient changes W (and bumps the global
   // parameter version).
   {
-    tensor::Sgd sgd({layer.parameters()}, /*lr=*/0.1f);
-    for (const tensor::Tensor& p : layer.parameters()) {
+    tensor::Sgd sgd({made.parameters()}, /*lr=*/0.1f);
+    for (const tensor::Tensor& p : made.parameters()) {
       tensor::Tensor param = p;  // shared handle; grads live on the impl
       float* g = param.grad_data();
       for (int64_t i = 0; i < param.numel(); ++i) g[i] = 1.0f;

@@ -106,7 +106,7 @@ Tensor MaskedWeight(int64_t in, int64_t out, uint64_t seed) {
   return w;
 }
 
-/// 1-D bias vector (PackedMatMulBiasAct requires ndim 1).
+/// Bias vector of length d.
 Tensor RandomBias(int64_t d, uint64_t seed) {
   Rng rng(seed);
   Tensor b = Tensor::Zeros({d});
@@ -118,7 +118,10 @@ Tensor RandomBias(int64_t d, uint64_t seed) {
 std::vector<float> PackedForward(const tensor::PackedWeights& w, const Tensor& x,
                                  const Tensor& bias) {
   tensor::NoGradScope no_grad;
-  return tensor::PackedMatMulBiasAct(x, w, bias, tensor::Activation::kRelu).value_vector();
+  std::vector<float> out(static_cast<size_t>(x.dim(0) * w.out));
+  tensor::PackedLinearForward(w, x.data(), x.dim(0), bias.data(), tensor::Activation::kRelu,
+                              out.data());
+  return out;
 }
 
 double Median(std::vector<double> v) {

@@ -1,7 +1,7 @@
 // Tiled-GEMM correctness: the register-blocked MatMul / MatMulBiasAct
-// kernels must match the scalar triple-loop reference (forward and backward)
-// on ragged shapes, NoGradScope must be bitwise transparent, and the
-// inference arena must reach a zero-allocation steady state.
+// kernels must match naive triple loops (forward and backward) on ragged
+// shapes, NoGradScope must be bitwise transparent, and the inference arena
+// must reach a zero-allocation steady state.
 #include <cmath>
 #include <vector>
 
@@ -32,10 +32,37 @@ void ExpectAllClose(const std::vector<float>& a, const std::vector<float>& b, fl
   }
 }
 
-/// Guard restoring the kernel selection on scope exit.
-struct ScalarKernelGuard {
-  explicit ScalarKernelGuard(bool use) { SetUseScalarKernels(use); }
-  ~ScalarKernelGuard() { SetUseScalarKernels(false); }
+/// Naive reference for y = a x w with a:[m,k], w:[k,n] row-major, and its
+/// backward under dY = ones (what SumAll(y).Backward() seeds):
+/// dA = dY x W^T, dW = A^T x dY.
+struct NaiveMatMul {
+  std::vector<float> out, da, dw;
+
+  NaiveMatMul(const std::vector<float>& a, const std::vector<float>& w, int64_t m, int64_t k,
+              int64_t n)
+      : out(static_cast<size_t>(m * n), 0.0f),
+        da(static_cast<size_t>(m * k), 0.0f),
+        dw(static_cast<size_t>(k * n), 0.0f) {
+    for (int64_t r = 0; r < m; ++r) {
+      for (int64_t c = 0; c < n; ++c) {
+        float acc = 0.0f;
+        for (int64_t j = 0; j < k; ++j) acc += a[r * k + j] * w[j * n + c];
+        out[r * n + c] = acc;
+      }
+      for (int64_t j = 0; j < k; ++j) {
+        float acc = 0.0f;
+        for (int64_t c = 0; c < n; ++c) acc += w[j * n + c];
+        da[r * k + j] = acc;
+      }
+    }
+    for (int64_t j = 0; j < k; ++j) {
+      for (int64_t c = 0; c < n; ++c) {
+        float acc = 0.0f;
+        for (int64_t r = 0; r < m; ++r) acc += a[r * k + j];
+        dw[j * n + c] = acc;
+      }
+    }
+  }
 };
 
 constexpr int64_t kShapes[] = {1, 3, 17, 64, 129};
@@ -45,24 +72,14 @@ TEST(TiledGemm, ForwardAndBackwardMatchScalarReferenceOnRaggedShapes) {
   for (int64_t b : kShapes) {
     for (int64_t k : kShapes) {
       for (int64_t o : kShapes) {
-        const Tensor a0 = RandomTensor({b, k}, rng, false);
-        const Tensor w0 = RandomTensor({k, o}, rng, false);
-
-        auto run = [&](bool scalar) {
-          ScalarKernelGuard guard(scalar);
-          Tensor a = a0.Clone();
-          Tensor w = w0.Clone();
-          a.impl()->requires_grad = true;
-          w.impl()->requires_grad = true;
-          Tensor out = MatMul(a, w);
-          SumAll(out).Backward();
-          return std::make_tuple(out.value_vector(), a.grad_vector(), w.grad_vector());
-        };
-        const auto [out_t, ga_t, gw_t] = run(false);
-        const auto [out_s, ga_s, gw_s] = run(true);
-        ExpectAllClose(out_t, out_s, 1e-5f, "forward");
-        ExpectAllClose(ga_t, ga_s, 1e-5f, "dA");
-        ExpectAllClose(gw_t, gw_s, 1e-5f, "dW");
+        Tensor a = RandomTensor({b, k}, rng, true);
+        Tensor w = RandomTensor({k, o}, rng, true);
+        const NaiveMatMul ref(a.value_vector(), w.value_vector(), b, k, o);
+        Tensor out = MatMul(a, w);
+        SumAll(out).Backward();
+        ExpectAllClose(out.value_vector(), ref.out, 1e-5f, "forward");
+        ExpectAllClose(a.grad_vector(), ref.da, 1e-5f, "dA");
+        ExpectAllClose(w.grad_vector(), ref.dw, 1e-5f, "dW");
       }
     }
   }
