@@ -1,24 +1,28 @@
 #!/usr/bin/env bash
-# Smoke-runs every bench binary at a tiny scale so the bench suite cannot
-# silently bit-rot: each binary must exit 0. Wired into CTest as the
-# `bench_smoke` label (ctest -L bench_smoke); also runnable by hand:
+# Smoke-runs the given bench binaries at a tiny scale so the bench suite
+# cannot silently bit-rot: each binary must exit 0. Wired into CTest as the
+# `bench_smoke` test (ctest -L bench_smoke), which passes exactly the bench
+# targets CMakeLists.txt declares; by hand:
 #
-#   bench/bench_smoke.sh <build_dir>
+#   bench/bench_smoke.sh <bench binary>...
 #
 # DUET_BENCH_SCALE shrinks datasets/workloads/training budgets; 0.05 keeps
 # the whole sweep in CI-friendly time. DUET_BENCH_BACKENDS selects which
 # packed-weight backends the throughput sweep smoke-runs (default: all
-# four, so none of the backend code paths can silently bit-rot). Every
+# five, so none of the backend code paths can silently bit-rot). Every
 # binary rejects unknown flags, so a stale flag below fails the smoke.
 set -u
-BUILD_DIR="${1:-build}"
 export DUET_BENCH_SCALE="${DUET_BENCH_SCALE:-0.05}"
-BACKENDS="${DUET_BENCH_BACKENDS:-dense,csr,int8,f16}"
+BACKENDS="${DUET_BENCH_BACKENDS:-dense,csr,int8,f16,int4}"
 
 status=0
 ran=0
-for bin in "$BUILD_DIR"/bench_*; do
-  [ -x "$bin" ] && [ -f "$bin" ] || continue
+for bin in "$@"; do
+  if [ ! -x "$bin" ] || [ ! -f "$bin" ]; then
+    echo "FAIL $bin (not an executable)"
+    status=1
+    continue
+  fi
   name="$(basename "$bin")"
   extra=""
   case "$name" in
@@ -62,7 +66,7 @@ for bin in "$BUILD_DIR"/bench_*; do
 done
 
 if [ "$ran" -eq 0 ]; then
-  echo "no bench binaries found under $BUILD_DIR" >&2
+  echo "usage: bench/bench_smoke.sh <bench binary>..." >&2
   exit 1
 fi
 exit $status

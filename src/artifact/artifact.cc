@@ -9,7 +9,6 @@
 
 #include "common/logging.h"
 #include "common/serialize.h"
-#include "common/thread_pool.h"
 #include "core/checkpoint.h"
 #include "data/column.h"
 
@@ -20,11 +19,6 @@ using tensor::PackedWeights;
 using tensor::Tensor;
 
 namespace {
-
-/// Mirrors the chunk bound in core/duet_model.cc (chunking never changes
-/// results — rows are batch-size invariant — but the paths are kept
-/// structurally identical anyway).
-constexpr int64_t kMaxQueriesPerForward = 4096;
 
 /// Pack-section fixed layout: 32-byte header (backend, reserved, in, out,
 /// reserved) + kNumPackArrays (count, offset) directory entries, offsets
@@ -582,6 +576,9 @@ ArtifactStatus LoadArtifact(const std::string& path, const ArtifactLoadOptions& 
   }
   model->plan_ = nn::InferencePlan::FromParts(std::move(ops), num_slabs, slab_width,
                                               input_dim, output_dim, backend);
+  if (!model->plan_->sparse_executable()) {
+    return ArtifactStatus::Fail("artifact plan has no predicate-sparse form: " + path);
+  }
   model->source_rows_ = source_rows;
   model->fingerprint_ = index.fingerprint;
   model->backend_ = backend;
@@ -606,66 +603,16 @@ ArtifactModel::ArtifactModel(MappedArtifact map, data::Table table,
 }
 
 double ArtifactModel::EstimateSelectivity(const query::Query& query) const {
-  // Structurally the same three phases as DuetModel::EstimateSelectivity,
-  // minus the phase timers; the plan executes the identical program.
-  tensor::NoGradScope no_grad;
-  const int64_t d = encoder_.total_width();
-  Tensor x = Tensor::Zeros({1, d});
-  encoder_.EncodeQueryRow(table_, query, x.data());
-  const std::vector<query::CodeRange> ranges = query.PerColumnRanges(table_);
-  for (const query::CodeRange& r : ranges) {
-    if (r.empty()) return 0.0;  // contradictory predicates select nothing
-  }
-  const Tensor logits = plan_->Execute(x);
-  double log_sel = 0.0;
-  core::MaskedLogSelectivity(logits.data(), out_blocks_, ranges, table_.num_columns(),
-                             &log_sel);
-  return std::exp(log_sel);
+  double sel = 0.0;
+  core::EstimateSelectivities(table_, encoder_, out_blocks_, *plan_, &query, 1, &sel, nullptr);
+  return sel;
 }
 
 std::vector<double> ArtifactModel::EstimateSelectivityBatch(
     const std::vector<query::Query>& queries) const {
-  tensor::NoGradScope no_grad;
-  if (queries.empty()) return {};
-  const int64_t total = static_cast<int64_t>(queries.size());
-  const int64_t d = encoder_.total_width();
-  const int64_t out_dim = plan_->output_dim();
-  const int num_columns = table_.num_columns();
-  std::vector<double> sels(static_cast<size_t>(total));
-
-  for (int64_t begin = 0; begin < total; begin += kMaxQueriesPerForward) {
-    const int64_t b = std::min(kMaxQueriesPerForward, total - begin);
-    const query::Query* chunk = queries.data() + begin;
-
-    Tensor x = Tensor::Zeros({b, d});
-    std::vector<std::vector<query::CodeRange>> all_ranges(static_cast<size_t>(b));
-    ParallelForChunked(
-        0, b,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t r = lo; r < hi; ++r) {
-            encoder_.EncodeQueryRow(table_, chunk[r], x.data() + r * d);
-            all_ranges[static_cast<size_t>(r)] = chunk[r].PerColumnRanges(table_);
-          }
-        },
-        /*parallel=*/b >= 64, /*grain=*/16);
-
-    const Tensor logits = plan_->Execute(x);
-
-    const float* logit_base = logits.data();
-    double* sel_base = sels.data() + begin;
-    ParallelForChunked(
-        0, b,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t r = lo; r < hi; ++r) {
-            double log_sel = 0.0;
-            const bool ok = core::MaskedLogSelectivity(logit_base + r * out_dim, out_blocks_,
-                                                       all_ranges[static_cast<size_t>(r)],
-                                                       num_columns, &log_sel);
-            sel_base[r] = ok ? std::exp(log_sel) : 0.0;
-          }
-        },
-        /*parallel=*/b >= 64, /*grain=*/16);
-  }
+  std::vector<double> sels(queries.size());
+  core::EstimateSelectivities(table_, encoder_, out_blocks_, *plan_, queries.data(),
+                              static_cast<int64_t>(queries.size()), sels.data(), nullptr);
   return sels;
 }
 

@@ -21,9 +21,9 @@
 // (tensor::PackWeightsCalls() stays flat across loads; the zoo bench
 // asserts it). Bitwise contract: the loaded plan re-executes the exact
 // program the writer compiled (same ops, same slab layout, same kernel
-// bytes), and the estimate paths replicate DuetModel's estimation code —
-// including the shared core::MaskedLogSelectivity tail — so a loaded
-// artifact's estimates equal the in-memory snapshot's bit for bit.
+// bytes), and both estimate paths run core::EstimateSelectivities, the
+// estimate loop DuetModel runs — so a loaded artifact's estimates equal the
+// in-memory snapshot's bit for bit.
 #ifndef DUET_ARTIFACT_ARTIFACT_H_
 #define DUET_ARTIFACT_ARTIFACT_H_
 
@@ -83,8 +83,8 @@ class ArtifactModel {
   /// DuetModel::EstimateSelectivity under its published plan.
   double EstimateSelectivity(const query::Query& query) const;
 
-  /// Batched estimation; mirrors DuetModel::EstimateSelectivityBatch
-  /// (same chunking, same parallel thresholds, same per-row tail).
+  /// Batched estimation: core::EstimateSelectivities, as in
+  /// DuetModel::EstimateSelectivityBatch.
   std::vector<double> EstimateSelectivityBatch(const std::vector<query::Query>& queries) const;
 
   /// The estimator adapter serving dispatches run on (const-thread-safe;

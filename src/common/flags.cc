@@ -1,5 +1,7 @@
 #include "common/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -9,7 +11,8 @@
 
 namespace duet {
 
-Flags::Flags(int argc, char** argv, std::set<std::string> known) : known_(std::move(known)) {
+Flags::Flags(int argc, char** argv, std::set<std::string> known)
+    : program_(argc > 0 ? argv[0] : "flags"), known_(std::move(known)) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) continue;  // positional args are ignored
@@ -40,12 +43,34 @@ std::string Flags::GetString(const std::string& key, const std::string& def) con
 
 int64_t Flags::GetInt(const std::string& key, int64_t def) const {
   const std::string* v = Find(key);
-  return v == nullptr ? def : std::stoll(*v);
+  if (v == nullptr) return def;
+  errno = 0;
+  char* end = nullptr;
+  const long long parsed = std::strtoll(v->c_str(), &end, 10);
+  if (v->empty() || end != v->c_str() + v->size() || errno == ERANGE) {
+    Malformed(key, *v, "an integer");
+  }
+  return parsed;
 }
 
 double Flags::GetDouble(const std::string& key, double def) const {
   const std::string* v = Find(key);
-  return v == nullptr ? def : std::stod(*v);
+  if (v == nullptr) return def;
+  errno = 0;
+  char* end = nullptr;
+  const double parsed = std::strtod(v->c_str(), &end);
+  // ERANGE also flags an underflow to a denormal or zero, which is a value.
+  if (v->empty() || end != v->c_str() + v->size() || (errno == ERANGE && std::isinf(parsed))) {
+    Malformed(key, *v, "a number");
+  }
+  return parsed;
+}
+
+void Flags::Malformed(const std::string& key, const std::string& value,
+                      const char* expected) const {
+  std::fprintf(stderr, "%s: malformed --%s=%s (expected %s)\n", program_.c_str(), key.c_str(),
+               value.c_str(), expected);
+  std::exit(2);
 }
 
 bool Flags::GetBool(const std::string& key, bool def) const {

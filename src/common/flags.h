@@ -13,8 +13,9 @@ namespace duet {
 /// Parses "--key=value" / "--flag" arguments and serves typed lookups with
 /// defaults. Every binary declares the flag names it reads: an argument
 /// naming any other flag prints the offending name to stderr and exits
-/// with status 2, so a typo cannot run an experiment on defaults; reading
-/// an undeclared name is a programming error (checked). Positional
+/// with status 2, so a typo cannot run an experiment on defaults; so does
+/// a numeric flag whose whole value does not parse (GetInt / GetDouble).
+/// Reading an undeclared name is a programming error (checked). Positional
 /// arguments are ignored. Also honors `DUET_BENCH_SCALE` via ScaleFactor()
 /// so the whole bench suite can be grown or shrunk with one environment
 /// variable.
@@ -34,7 +35,11 @@ class Flags {
  private:
   /// The parsed value of a declared flag, or null when it was not given.
   const std::string* Find(const std::string& key) const;
+  /// Prints the flag and its value to stderr and exits with status 2.
+  [[noreturn]] void Malformed(const std::string& key, const std::string& value,
+                              const char* expected) const;
 
+  std::string program_;
   std::set<std::string> known_;
   std::map<std::string, std::string> values_;
 };

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -70,6 +71,28 @@ class ThreadPool {
   uint64_t in_flight_ = 0;
   bool stop_ = false;
   std::atomic<uint64_t> escaped_exceptions_{0};
+};
+
+/// Completion latch for a fixed number of tasks, one per call: each task
+/// calls CountDown() exactly once, handing over the exception it caught if
+/// any, and Wait() blocks until every task has, then rethrows the first
+/// such exception. CountDown notifies under the lock, so the waiter cannot
+/// observe zero, return and destroy a stack-allocated latch until the last
+/// CountDown has released it. Waiting on a per-call latch, never on the
+/// pool's global in-flight count, keeps concurrent callers from waiting
+/// for each other's tasks.
+class CompletionLatch {
+ public:
+  explicit CompletionLatch(int64_t count) : remaining_(count) {}
+
+  void CountDown(std::exception_ptr error = nullptr);
+  void Wait();
+
+ private:
+  std::mutex mu_;
+  std::condition_variable done_cv_;
+  int64_t remaining_;
+  std::exception_ptr first_error_;
 };
 
 /// Runs fn(i) for i in [begin, end) across the pool, splitting the range into

@@ -21,11 +21,38 @@ constexpr float kSelEps = 1e-12f;
 /// changes results — rows are batch-size independent.
 constexpr int64_t kMaxQueriesPerForward = 4096;
 
+/// One constrained column's factor in log space: the masked softmax mass
+/// of `r` within the block's logits ls[0, len). MaskedLogSelectivity and
+/// EstimateSelectivities both sum exactly this, column by column.
+double MaskedLogFactor(const float* ls, int64_t len, query::CodeRange r) {
+  float mx = ls[0];
+  for (int64_t j = 1; j < len; ++j) mx = std::max(mx, ls[j]);
+  double denom = 0.0, num = 0.0;
+  for (int64_t j = 0; j < len; ++j) {
+    const double e = std::exp(static_cast<double>(ls[j] - mx));
+    denom += e;
+    if (j >= r.lo && j < r.hi) num += e;
+  }
+  return std::log(std::max(num / denom, static_cast<double>(kSelEps)));
+}
+
+/// A column whose range is its whole domain is a factor of 1.
+bool IsWildcard(query::CodeRange r, const tensor::BlockSpec& blk) {
+  return r.lo == 0 && r.hi == static_cast<int32_t>(blk.len);
+}
+
+/// Per-thread scratch of one estimate frame. `rows` holds the rows that
+/// need a forward; span s of `rows` is the logit block of columns[s].
+struct EstimateFrame {
+  CompactRow row;
+  nn::SparseBatch rows;
+  std::vector<ColumnRange> columns;
+  std::vector<int64_t> row_query;  // forward row -> query index in the chunk
+  std::vector<float> logits;       // compact: rows' spans back to back
+};
+
 }  // namespace
 
-// Algorithm 3 tail for one query row; see the declaration in duet_model.h
-// for the contract (exported so artifact-loaded models reuse the exact
-// same loop and stay bitwise-equal to the in-memory estimator).
 bool MaskedLogSelectivity(const float* logits_row, const std::vector<tensor::BlockSpec>& blocks,
                           const std::vector<query::CodeRange>& ranges, int num_columns,
                           double* log_sel_out) {
@@ -34,20 +61,86 @@ bool MaskedLogSelectivity(const float* logits_row, const std::vector<tensor::Blo
     const query::CodeRange& r = ranges[static_cast<size_t>(c)];
     if (r.empty()) return false;
     const tensor::BlockSpec& blk = blocks[static_cast<size_t>(c)];
-    if (r.lo == 0 && r.hi == static_cast<int32_t>(blk.len)) continue;  // wildcard: factor 1
-    const float* ls = logits_row + blk.offset;
-    float mx = ls[0];
-    for (int64_t j = 1; j < blk.len; ++j) mx = std::max(mx, ls[j]);
-    double denom = 0.0, num = 0.0;
-    for (int64_t j = 0; j < blk.len; ++j) {
-      const double e = std::exp(static_cast<double>(ls[j] - mx));
-      denom += e;
-      if (j >= r.lo && j < r.hi) num += e;
-    }
-    log_sel += std::log(std::max(num / denom, static_cast<double>(kSelEps)));
+    if (IsWildcard(r, blk)) continue;
+    log_sel += MaskedLogFactor(logits_row + blk.offset, blk.len, r);
   }
   *log_sel_out = log_sel;
   return true;
+}
+
+void EstimateSelectivities(const data::Table& table, const DuetInputEncoder& encoder,
+                           const std::vector<tensor::BlockSpec>& blocks,
+                           const nn::InferencePlan& plan, const query::Query* queries,
+                           int64_t count, double* sels, PhaseTimes* phases) {
+  DUET_CHECK_EQ(static_cast<int64_t>(blocks.size()), table.num_columns());
+  tensor::NoGradScope no_grad;
+  // A named reference, not the thread_local itself: the post phase's chunks
+  // run on pool threads and must read this thread's frame.
+  thread_local EstimateFrame scratch;
+  EstimateFrame& frame = scratch;
+  for (int64_t begin = 0; begin < count; begin += kMaxQueriesPerForward) {
+    const int64_t b = std::min(kMaxQueriesPerForward, count - begin);
+    const query::Query* chunk = queries + begin;
+    double* out = sels + begin;
+
+    Timer timer;
+    frame.rows.Clear();
+    frame.columns.clear();
+    frame.row_query.clear();
+    for (int64_t q = 0; q < b; ++q) {
+      if (!encoder.EncodeQueryCompact(table, chunk[q], &frame.row)) {
+        out[q] = 0.0;  // contradictory predicates select nothing
+        continue;
+      }
+      const size_t first = frame.columns.size();
+      for (const ColumnRange& c : frame.row.columns) {
+        const tensor::BlockSpec& blk = blocks[static_cast<size_t>(c.col)];
+        if (IsWildcard(c.range, blk)) continue;
+        frame.columns.push_back(c);
+        frame.rows.AddSpan(static_cast<int32_t>(blk.offset),
+                           static_cast<int32_t>(blk.offset + blk.len));
+      }
+      if (frame.columns.size() == first) {
+        out[q] = 1.0;  // exp of an empty log-space product
+        continue;
+      }
+      for (size_t e = 0; e < frame.row.entry_k.size(); ++e) {
+        frame.rows.AddEntry(frame.row.entry_k[e], frame.row.entry_v[e]);
+      }
+      frame.rows.EndRow();
+      frame.row_query.push_back(q);
+    }
+    const int64_t n = frame.rows.rows();
+    if (phases != nullptr) phases->encode_ms += timer.Millis();
+    if (n == 0) continue;
+
+    timer.Reset();
+    frame.logits.resize(static_cast<size_t>(frame.rows.output_size()));
+    plan.ExecuteSparse(frame.rows, frame.logits.data());
+    if (phases != nullptr) phases->forward_ms += timer.Millis();
+
+    // Rows are independent, so this parallelizes without affecting
+    // per-query numerics.
+    timer.Reset();
+    ParallelForChunked(
+        0, n,
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t r = lo; r < hi; ++r) {
+            const size_t ri = static_cast<size_t>(r);
+            const float* ls = frame.logits.data() + frame.rows.out_begin[ri];
+            double log_sel = 0.0;
+            for (int64_t s = frame.rows.span_begin[ri]; s < frame.rows.span_begin[ri + 1]; ++s) {
+              const tensor::ColumnSpan span = frame.rows.spans[static_cast<size_t>(s)];
+              log_sel += MaskedLogFactor(ls, span.hi - span.lo,
+                                         frame.columns[static_cast<size_t>(s)].range);
+              ls += span.hi - span.lo;
+            }
+            out[frame.row_query[ri]] = std::exp(log_sel);
+          }
+        },
+        /*parallel=*/n >= 64, /*grain=*/16);
+    if (phases != nullptr) phases->post_ms += timer.Millis();
+  }
 }
 
 DuetModel::DuetModel(const data::Table& table, DuetModelOptions options)
@@ -119,88 +212,28 @@ Tensor DuetModel::SelectivityBatch(const std::vector<query::Query>& queries) con
   return tensor::Exp(tensor::SumCols(logf));
 }
 
+void DuetModel::Estimate(const query::Query* queries, int64_t count, double* sels) const {
+  tensor::NoGradScope no_grad;  // the plan compiles on first use, as in Forward
+  const std::shared_ptr<const nn::InferencePlan> plan = made_->Plan();
+  PhaseTimes phases;
+  EstimateSelectivities(table_, encoder_, made_->output_blocks(), *plan, queries, count, sels,
+                        &phases);
+  std::lock_guard<std::mutex> lock(*phase_mu_);
+  phase_times_.encode_ms += phases.encode_ms;
+  phase_times_.forward_ms += phases.forward_ms;
+  phase_times_.post_ms += phases.post_ms;
+}
+
 double DuetModel::EstimateSelectivity(const query::Query& query) const {
-  tensor::NoGradScope no_grad;
-  Timer timer;
-
-  // Phase 1: encode.
-  const int64_t d = encoder_.total_width();
-  Tensor x = Tensor::Zeros({1, d});
-  encoder_.EncodeQueryRow(table_, query, x.data());
-  const std::vector<query::CodeRange> ranges = query.PerColumnRanges(table_);
-  for (const query::CodeRange& r : ranges) {
-    if (r.empty()) return 0.0;  // contradictory predicates select nothing
-  }
-  AddPhaseTime(&PhaseTimes::encode_ms, timer.Millis());
-
-  // Phase 2: one forward pass.
-  timer.Reset();
-  const Tensor logits = ForwardLogits(x);
-  AddPhaseTime(&PhaseTimes::forward_ms, timer.Millis());
-
-  // Phase 3: per-block softmax restricted to the mask (Algorithm 3 lines
-  // 3-4), done with raw loops - no tensors needed for a single row.
-  timer.Reset();
-  double log_sel = 0.0;
-  MaskedLogSelectivity(logits.data(), made_->output_blocks(), ranges, table_.num_columns(),
-                       &log_sel);
-  AddPhaseTime(&PhaseTimes::post_ms, timer.Millis());
-  return std::exp(log_sel);
+  double sel = 0.0;
+  Estimate(&query, 1, &sel);
+  return sel;
 }
 
 std::vector<double> DuetModel::EstimateSelectivityBatch(
     const std::vector<query::Query>& queries) const {
-  tensor::NoGradScope no_grad;
-  if (queries.empty()) return {};
-  const int64_t total = static_cast<int64_t>(queries.size());
-  const int64_t d = encoder_.total_width();
-  const auto& blocks = made_->output_blocks();
-  const int64_t out_dim = made_->output_dim();
-  const int num_columns = table_.num_columns();
-  std::vector<double> sels(static_cast<size_t>(total));
-
-  for (int64_t begin = 0; begin < total; begin += kMaxQueriesPerForward) {
-    const int64_t b = std::min(kMaxQueriesPerForward, total - begin);
-    const query::Query* chunk = queries.data() + begin;
-
-    Timer timer;
-    Tensor x = Tensor::Zeros({b, d});
-    std::vector<std::vector<query::CodeRange>> all_ranges(static_cast<size_t>(b));
-    ParallelForChunked(
-        0, b,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t r = lo; r < hi; ++r) {
-            encoder_.EncodeQueryRow(table_, chunk[r], x.data() + r * d);
-            all_ranges[static_cast<size_t>(r)] = chunk[r].PerColumnRanges(table_);
-          }
-        },
-        /*parallel=*/b >= 64, /*grain=*/16);
-    AddPhaseTime(&PhaseTimes::encode_ms, timer.Millis());
-
-    timer.Reset();
-    const Tensor logits = ForwardLogits(x);
-    AddPhaseTime(&PhaseTimes::forward_ms, timer.Millis());
-
-    timer.Reset();
-    const float* logit_base = logits.data();
-    double* sel_base = sels.data() + begin;
-    // Per-row masked softmax + log-space product; rows are independent, so
-    // this parallelizes without affecting per-query numerics.
-    ParallelForChunked(
-        0, b,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t r = lo; r < hi; ++r) {
-            double log_sel = 0.0;
-            const bool ok =
-                MaskedLogSelectivity(logit_base + r * out_dim, blocks,
-                                     all_ranges[static_cast<size_t>(r)], num_columns,
-                                     &log_sel);
-            sel_base[r] = ok ? std::exp(log_sel) : 0.0;
-          }
-        },
-        /*parallel=*/b >= 64, /*grain=*/16);
-    AddPhaseTime(&PhaseTimes::post_ms, timer.Millis());
-  }
+  std::vector<double> sels(queries.size());
+  if (!queries.empty()) Estimate(queries.data(), static_cast<int64_t>(queries.size()), sels.data());
   return sels;
 }
 

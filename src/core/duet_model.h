@@ -22,6 +22,7 @@
 
 #include "core/encoding.h"
 #include "core/sampler.h"
+#include "nn/inference_plan.h"
 #include "nn/made.h"
 #include "nn/module.h"
 #include "query/estimator.h"
@@ -51,16 +52,38 @@ struct PhaseTimes {
   void Clear() { encode_ms = forward_ms = post_ms = 0.0; }
 };
 
-/// Algorithm 3 tail for one query row: per constrained block, the masked
-/// softmax mass of that query's code range, accumulated as a log-space
-/// product. Shared by the scalar and batched inference paths — and by
-/// artifact-loaded models (artifact/artifact.h) — because the batch API
-/// contract and the artifact bitwise-identity contract both require every
-/// estimator to run exactly this loop; there is deliberately only one copy.
+/// Algorithm 3 tail for one dense logits row: per constrained block, the
+/// masked softmax mass of that query's code range, accumulated as a
+/// log-space product over the columns in ascending order. This is the
+/// dense reference form of EstimateSelectivities' post phase, which runs the
+/// same per-block arithmetic over a compact logits row.
 /// Returns false for a contradictory query (some range empty).
 bool MaskedLogSelectivity(const float* logits_row, const std::vector<tensor::BlockSpec>& blocks,
                           const std::vector<query::CodeRange>& ranges, int num_columns,
                           double* log_sel_out);
+
+/// The Duet estimate loop (Algorithm 3), the one both DuetModel and
+/// artifact::ArtifactModel run, so a loaded artifact answers bit for bit
+/// like the model it was written from. Its cost scales with each query's
+/// predicated columns, not with the table's width:
+///  * encode: each query becomes a compact row (DuetInputEncoder::
+///    EncodeQueryCompact) in per-thread scratch. A contradictory query is
+///    0 and a query whose every range is its column's whole domain is 1,
+///    both without a forward;
+///  * forward: the other rows run nn::InferencePlan::ExecuteSparse, which
+///    reads only their nonzero inputs and computes only the logit blocks of
+///    their constrained columns;
+///  * post: per constrained column, ascending, the masked softmax mass of
+///    its range, summed in log space — MaskedLogSelectivity's arithmetic.
+/// Every answer is bitwise MaskedLogSelectivity over the dense forward of
+/// EncodeQueryRow's row (tests/test_plan.cc pins this per backend).
+/// `blocks` are the plan's output blocks, one per table column. Writes
+/// sels[0, count). Steady-state calls allocate nothing per query. When
+/// `phases` is not null, adds the encode, forward and post times to it.
+void EstimateSelectivities(const data::Table& table, const DuetInputEncoder& encoder,
+                           const std::vector<tensor::BlockSpec>& blocks,
+                           const nn::InferencePlan& plan, const query::Query* queries,
+                           int64_t count, double* sels, PhaseTimes* phases);
 
 /// Duet model (direct mode).
 class DuetModel : public nn::Module {
@@ -101,7 +124,8 @@ class DuetModel : public nn::Module {
   double EstimateSelectivity(const query::Query& query) const;
 
   /// Batched inference (the GPU-batching stand-in used by throughput
-  /// benches): one forward pass for all queries.
+  /// benches): one predicate-sparse forward for all queries
+  /// (EstimateSelectivities).
   std::vector<double> EstimateSelectivityBatch(const std::vector<query::Query>& queries) const;
 
   // ----- inference configuration -----
@@ -140,11 +164,9 @@ class DuetModel : public nn::Module {
   /// Builds the zero-out mask row (out_dim floats) from per-column ranges.
   void FillMaskRow(const std::vector<query::CodeRange>& ranges, float* dst) const;
 
-  /// Locked accumulation into one PhaseTimes field.
-  void AddPhaseTime(double PhaseTimes::*field, double ms) const {
-    std::lock_guard<std::mutex> lock(*phase_mu_);
-    phase_times_.*field += ms;
-  }
+  /// Runs EstimateSelectivities over this model's plan and adds its phase
+  /// times to phase_times_ under the lock.
+  void Estimate(const query::Query* queries, int64_t count, double* sels) const;
 
   const data::Table& table_;
   DuetModelOptions options_;

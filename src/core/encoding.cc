@@ -43,28 +43,33 @@ ColumnValueEncoder::ColumnValueEncoder(const data::Table& table,
   }
 }
 
-void ColumnValueEncoder::EncodeValue(int col, int32_t code, float* dst) const {
+template <typename Put>
+void ColumnValueEncoder::VisitValue(int col, int32_t code, Put&& put) const {
   const size_t ci = static_cast<size_t>(col);
   DUET_CHECK_GE(code, 0);
   DUET_CHECK_LT(code, ndvs_[ci]);
   switch (kinds_[ci]) {
     case ValueEncoding::kOneHot:
-      dst[code] = 1.0f;
+      put(int64_t{code}, 1.0f);
       break;
     case ValueEncoding::kBinary: {
       const int64_t w = widths_[ci];
       for (int64_t b = 0; b < w; ++b) {
-        dst[b] = static_cast<float>((static_cast<uint32_t>(code) >> b) & 1u);
+        put(b, static_cast<float>((static_cast<uint32_t>(code) >> b) & 1u));
       }
       break;
     }
     case ValueEncoding::kEmbedding: {
       const int64_t w = widths_[ci];
       const float* row = codebooks_[ci].data() + static_cast<int64_t>(code) * w;
-      for (int64_t b = 0; b < w; ++b) dst[b] = row[b];
+      for (int64_t b = 0; b < w; ++b) put(b, row[b]);
       break;
     }
   }
+}
+
+void ColumnValueEncoder::EncodeValue(int col, int32_t code, float* dst) const {
+  VisitValue(col, code, [dst](int64_t i, float v) { dst[i] = v; });
 }
 
 tensor::Tensor ColumnValueEncoder::CodeMatrix(int col) const {
@@ -105,31 +110,68 @@ void DuetInputEncoder::EncodeWildcard(int /*col*/, float* /*dst*/) const {
   // All-zero block: no op bit set <=> no predicate (paper Sec. IV-C).
 }
 
-void DuetInputEncoder::EncodeQueryRow(const data::Table& table, const query::Query& query,
-                                      float* dst) const {
-  std::vector<int> count(static_cast<size_t>(table.num_columns()), 0);
-  for (const query::Predicate& p : query.predicates) count[static_cast<size_t>(p.col)]++;
-  std::vector<bool> done(static_cast<size_t>(table.num_columns()), false);
-  std::vector<query::CodeRange> ranges;  // lazily computed for condensation
-  for (const query::Predicate& p : query.predicates) {
-    const size_t ci = static_cast<size_t>(p.col);
-    if (done[ci]) continue;
-    done[ci] = true;
-    const data::Column& col = table.column(p.col);
-    if (count[ci] == 1) {
+bool DuetInputEncoder::EncodeQueryCompact(const data::Table& table, const query::Query& query,
+                                          CompactRow* row) const {
+  row->entry_k.clear();
+  row->entry_v.clear();
+  row->columns.clear();
+  // Visit the predicates grouped by column, columns ascending, so the
+  // entries come out k-ascending (blocks are laid out in column order).
+  auto& order = row->order;
+  order.clear();
+  for (size_t i = 0; i < query.predicates.size(); ++i) {
+    const int col = query.predicates[i].col;
+    DUET_CHECK_GE(col, 0);
+    DUET_CHECK_LT(col, table.num_columns());
+    order.emplace_back(col, static_cast<int32_t>(i));
+  }
+  std::sort(order.begin(), order.end());
+  // EncodePredicate's block, as entries: the value encoding, then the op bit.
+  auto append = [&](int col, query::PredOp op, int32_t code) {
+    const int64_t base = block_offset(col);
+    values_.VisitValue(col, code, [&](int64_t i, float v) {
+      if (v == 0.0f) return;
+      row->entry_k.push_back(static_cast<int32_t>(base + i));
+      row->entry_v.push_back(v);
+    });
+    row->entry_k.push_back(
+        static_cast<int32_t>(base + values_.value_width(col) + static_cast<int32_t>(op)));
+    row->entry_v.push_back(1.0f);
+  };
+  bool satisfiable = true;
+  for (size_t g = 0; g < order.size();) {
+    const int col = order[g].first;
+    size_t end = g + 1;
+    while (end < order.size() && order[end].first == col) ++end;
+    const data::Column& column = table.column(col);
+    query::CodeRange range{0, column.ndv()};
+    for (size_t i = g; i < end; ++i) {
+      const query::Predicate& p = query.predicates[static_cast<size_t>(order[i].second)];
+      range = query::IntersectRanges(range, query::RangeForPredicate(column, p.op, p.value));
+    }
+    if (end - g == 1) {
       // The predicate value maps to its boundary code; exact containment is
       // enforced by the zero-out mask, the input only conditions the net.
-      int32_t code = std::clamp(col.LowerBound(p.value), 0, col.ndv() - 1);
-      EncodePredicate(p.col, p.op, code, dst + block_offset(p.col));
-      continue;
+      const query::Predicate& p = query.predicates[static_cast<size_t>(order[g].second)];
+      append(col, p.op, std::clamp(column.LowerBound(p.value), 0, column.ndv() - 1));
+    } else if (!range.empty()) {
+      // Several predicates condense to one over the intersected range; an
+      // empty one stays a zero block (the estimate is 0 without a forward).
+      const query::PredOp op = range.size() == 1 ? query::PredOp::kEq : query::PredOp::kGe;
+      append(col, op, std::clamp(range.lo, 0, column.ndv() - 1));
     }
-    if (ranges.empty()) ranges = query.PerColumnRanges(table);
-    const query::CodeRange& r = ranges[ci];
-    if (r.empty()) continue;  // estimator returns 0 before the forward pass
-    const int32_t lo = std::clamp(r.lo, 0, col.ndv() - 1);
-    const query::PredOp op = r.size() == 1 ? query::PredOp::kEq : query::PredOp::kGe;
-    EncodePredicate(p.col, op, lo, dst + block_offset(p.col));
+    row->columns.push_back({col, range});
+    satisfiable &= !range.empty();
+    g = end;
   }
+  return satisfiable;
+}
+
+void DuetInputEncoder::EncodeQueryRow(const data::Table& table, const query::Query& query,
+                                      float* dst) const {
+  thread_local CompactRow row;
+  EncodeQueryCompact(table, query, &row);
+  for (size_t e = 0; e < row.entry_k.size(); ++e) dst[row.entry_k[e]] = row.entry_v[e];
 }
 
 void DuetInputEncoder::EncodeQueryBatch(const data::Table& table,

@@ -16,6 +16,7 @@
 #define DUET_CORE_ENCODING_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -54,6 +55,12 @@ class ColumnValueEncoder {
   /// Writes the value encoding of `code` into dst[0..value_width(col)).
   void EncodeValue(int col, int32_t code, float* dst) const;
 
+  /// Calls put(i, v) for each position i of `code`'s value encoding, i
+  /// ascending (EncodeValue writes exactly these). Defined in encoding.cc,
+  /// its only user.
+  template <typename Put>
+  void VisitValue(int col, int32_t code, Put&& put) const;
+
   /// Constant matrix [ndv, value_width] whose row c is EncodeValue(col, c).
   /// Used by UAE's differentiable (soft one-hot) input assembly.
   tensor::Tensor CodeMatrix(int col) const;
@@ -68,6 +75,27 @@ class ColumnValueEncoder {
   std::vector<int32_t> ndvs_;
   /// Flattened fixed codebooks for kEmbedding columns (empty otherwise).
   std::vector<std::vector<float>> codebooks_;
+};
+
+/// A predicated column of a query and its code range: the intersection of
+/// the column's predicates (query::Query::PerColumnRanges' entry for it).
+struct ColumnRange {
+  int32_t col = 0;
+  query::CodeRange range;
+};
+
+/// A query's compact input row: what DuetInputEncoder::EncodeQueryRow writes,
+/// as its nonzero entries, plus the query's predicated columns. Callers keep
+/// one per thread and reuse it; every encode clears it first, and the
+/// vectors keep their capacity, so steady-state encodes allocate nothing.
+struct CompactRow {
+  /// Nonzero input entries (position, value), positions strictly ascending.
+  std::vector<int32_t> entry_k;
+  std::vector<float> entry_v;
+  /// Predicated columns, ascending, each once.
+  std::vector<ColumnRange> columns;
+  /// Scratch: (column, predicate index) pairs in column order.
+  std::vector<std::pair<int32_t, int32_t>> order;
 };
 
 /// Duet's per-column predicate block: [value | op one-hot]; all zeros on the
@@ -98,6 +126,14 @@ class DuetInputEncoder {
   /// intersected code range — the input only *conditions* the network, exact
   /// containment is always enforced by the zero-out mask.
   void EncodeQueryRow(const data::Table& table, const query::Query& query, float* dst) const;
+
+  /// EncodeQueryRow in compact form: fills `row` with the nonzero entries
+  /// EncodeQueryRow writes (the one encoding; EncodeQueryRow scatters these)
+  /// and with every predicated column's code range. Costs O(p log p) in the
+  /// query's p predicates, independent of the table's width. Returns false
+  /// when some range is empty: the query selects nothing.
+  bool EncodeQueryCompact(const data::Table& table, const query::Query& query,
+                          CompactRow* row) const;
 
   /// Batched EncodeQueryRow: fills `dst` as a row-major [queries.size(),
   /// total_width()] buffer (pre-zeroed), parallelized over queries.

@@ -65,53 +65,141 @@ Tensor InferencePlan::Execute(const Tensor& x) const {
   return out;
 }
 
-void InferencePlan::ExecuteInto(const float* x, int64_t batch, float* out) const {
-  // Per-thread scratch: a forward runs entirely inside these slabs, so the
-  // steady state performs zero allocations and concurrent executions (the
-  // serving engine's sharded workers) never share state.
-  thread_local std::vector<float> slabs;
-  const size_t need =
-      static_cast<size_t>(num_slabs_) * static_cast<size_t>(batch) * static_cast<size_t>(slab_width_);
-  if (slabs.size() < need) slabs.resize(need);
-  const int64_t slab_stride = batch * slab_width_;
-  auto buffer = [&](int id, float* output_buf, const float* input_buf) -> const float* {
-    if (id == kInputSlab) return input_buf;
-    if (id == kOutputSlab) return output_buf;
-    return slabs.data() + static_cast<size_t>(id) * slab_stride;
-  };
+namespace {
 
-  for (const PackedOp& op : ops_) {
-    const float* src = buffer(op.src, out, x);
-    float* dst = const_cast<float*>(buffer(op.dst, out, x));
-    switch (op.kind) {
-      case PackedOp::Kind::kLinear:
-        tensor::PackedLinearForward(*op.weights, src, batch, op.bias.data(), op.act, dst);
-        break;
-      case PackedOp::Kind::kRelu: {
-        const int64_t n = batch * op.out;
-        ParallelForChunked(
-            0, n,
-            [&](int64_t lo, int64_t hi) {
+/// Per-thread scratch slabs for one forward of `batch` rows: a forward runs
+/// entirely inside these, so the steady state performs zero allocations and
+/// concurrent executions (the serving engine's sharded workers) never share
+/// state.
+float* ScratchSlabs(int num_slabs, int64_t batch, int64_t slab_width) {
+  // Fault point: like InferenceArena::Acquire, this is where a real
+  // allocation failure would surface inside a forward; serving must degrade
+  // the affected shard, not crash.
+  serve::FaultInjector::MaybeThrow(serve::FaultPoint::kAllocation,
+                                   "injected scratch allocation failure");
+  thread_local std::vector<float> slabs;
+  const size_t need = static_cast<size_t>(num_slabs) * static_cast<size_t>(batch) *
+                      static_cast<size_t>(slab_width);
+  if (slabs.size() < need) slabs.resize(need);
+  return slabs.data();
+}
+
+/// Runs one op over `batch` rows of src (and src2) into dst.
+void RunOp(const PackedOp& op, const float* src, const float* src2, float* dst,
+           int64_t batch) {
+  switch (op.kind) {
+    case PackedOp::Kind::kLinear:
+      tensor::PackedLinearForward(*op.weights, src, batch, op.bias.data(), op.act, dst);
+      break;
+    case PackedOp::Kind::kRelu: {
+      const int64_t n = batch * op.out;
+      ParallelForChunked(
+          0, n,
+          [&](int64_t lo, int64_t hi) {
 #pragma omp simd
-              for (int64_t i = lo; i < hi; ++i) dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
-            },
-            ElementwiseParallel(n), /*grain=*/4096);
-        break;
-      }
-      case PackedOp::Kind::kAdd: {
-        const float* src2 = buffer(op.src2, out, x);
-        const int64_t n = batch * op.out;
-        ParallelForChunked(
-            0, n,
-            [&](int64_t lo, int64_t hi) {
+            for (int64_t i = lo; i < hi; ++i) dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
+          },
+          ElementwiseParallel(n), /*grain=*/4096);
+      break;
+    }
+    case PackedOp::Kind::kAdd: {
+      const int64_t n = batch * op.out;
+      ParallelForChunked(
+          0, n,
+          [&](int64_t lo, int64_t hi) {
 #pragma omp simd
-              for (int64_t i = lo; i < hi; ++i) dst[i] = src[i] + src2[i];
-            },
-            ElementwiseParallel(n), /*grain=*/4096);
-        break;
-      }
+            for (int64_t i = lo; i < hi; ++i) dst[i] = src[i] + src2[i];
+          },
+          ElementwiseParallel(n), /*grain=*/4096);
+      break;
     }
   }
+}
+
+/// Same work threshold as the packed GEMM: a sparse linear op goes to the
+/// pool only when its multiply-adds would.
+inline bool SparseParallel(int64_t terms, int64_t width) { return terms * width > (1 << 18); }
+
+}  // namespace
+
+void InferencePlan::ExecuteInto(const float* x, int64_t batch, float* out) const {
+  float* slabs = ScratchSlabs(num_slabs_, batch, slab_width_);
+  const int64_t slab_stride = batch * slab_width_;
+  auto buffer = [&](int id) -> float* {
+    if (id == kInputSlab) return const_cast<float*>(x);
+    if (id == kOutputSlab) return out;
+    return slabs + static_cast<size_t>(id) * slab_stride;
+  };
+  for (const PackedOp& op : ops_) {
+    RunOp(op, buffer(op.src), op.src2 == -1 ? nullptr : buffer(op.src2), buffer(op.dst), batch);
+  }
+}
+
+bool InferencePlan::sparse_executable() const {
+  if (ops_.size() < 2) return false;
+  const PackedOp& first = ops_.front();
+  const PackedOp& last = ops_.back();
+  if (first.kind != PackedOp::Kind::kLinear || first.src != kInputSlab || first.dst < 0 ||
+      first.in != input_dim_) {
+    return false;
+  }
+  if (last.kind != PackedOp::Kind::kLinear || last.dst != kOutputSlab || last.src < 0 ||
+      last.out != output_dim_) {
+    return false;
+  }
+  for (size_t i = 1; i + 1 < ops_.size(); ++i) {
+    const PackedOp& op = ops_[i];
+    if (op.src < 0 || op.dst < 0 || (op.kind == PackedOp::Kind::kAdd && op.src2 < 0)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void InferencePlan::ExecuteSparse(const SparseBatch& rows, float* out) const {
+  DUET_CHECK(!tensor::NoGradGuard::GradEnabled())
+      << "InferencePlan::ExecuteSparse is inference-only (no autograd graph)";
+  DUET_CHECK(sparse_executable()) << "plan has no predicate-sparse form";
+  const int64_t batch = rows.rows();
+  if (batch == 0) return;
+  float* slabs = ScratchSlabs(num_slabs_, batch, slab_width_);
+  const int64_t slab_stride = batch * slab_width_;
+  auto slab = [&](int id) { return slabs + static_cast<size_t>(id) * slab_stride; };
+
+  const PackedOp& first = ops_.front();
+  float* h = slab(first.dst);
+  ParallelForChunked(
+      0, batch,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t r = lo; r < hi; ++r) {
+          const int64_t e0 = rows.entry_begin[static_cast<size_t>(r)];
+          const int64_t e1 = rows.entry_begin[static_cast<size_t>(r) + 1];
+          tensor::PackedLinearEntries(*first.weights, rows.entry_k.data() + e0,
+                                      rows.entry_v.data() + e0, e1 - e0, first.bias.data(),
+                                      first.act, h + r * first.out);
+        }
+      },
+      SparseParallel(static_cast<int64_t>(rows.entry_k.size()), first.out), /*grain=*/8);
+
+  for (size_t i = 1; i + 1 < ops_.size(); ++i) {
+    const PackedOp& op = ops_[i];
+    RunOp(op, slab(op.src), op.src2 == -1 ? nullptr : slab(op.src2), slab(op.dst), batch);
+  }
+
+  const PackedOp& last = ops_.back();
+  const float* src = slab(last.src);
+  ParallelForChunked(
+      0, batch,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t r = lo; r < hi; ++r) {
+          const size_t ri = static_cast<size_t>(r);
+          const int64_t s0 = rows.span_begin[ri];
+          tensor::PackedLinearSpans(*last.weights, src + r * last.in, rows.spans.data() + s0,
+                                    rows.span_begin[ri + 1] - s0, last.bias.data(), last.act,
+                                    out + rows.out_begin[ri]);
+        }
+      },
+      SparseParallel(rows.output_size(), last.in), /*grain=*/8);
 }
 
 PlanBuilder::PlanBuilder(tensor::WeightBackend backend, int64_t input_dim)

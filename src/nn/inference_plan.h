@@ -16,6 +16,11 @@
 // one output tensor per forward. Forwards with gradients enabled (training)
 // keep walking the layers; the plan is inference-only.
 //
+// ExecuteSparse is the same program over predicate-sparse rows: its first
+// linear op reads only each row's nonzero inputs and its last computes only
+// the output columns the row asks for, bitwise what ExecuteInto writes
+// there (docs/architecture.md §5). It is what Duet estimates run.
+//
 // Numerics: dense and CSR plans are bitwise-equal to the tracked forward
 // (same GEMM accumulation order, shared epilogue in ops.cc); int8/f16/int4
 // carry the accuracy bounds of their backends.
@@ -80,6 +85,52 @@ struct PackedOp {
   bool weights_shared = false;
 };
 
+/// A frame of predicate-sparse rows, the input of
+/// InferencePlan::ExecuteSparse. Row r lists the nonzero entries of its
+/// input row — entries [entry_begin[r], entry_begin[r + 1]) of entry_k /
+/// entry_v, k strictly ascending — and the output column spans it needs —
+/// spans [span_begin[r], span_begin[r + 1]), disjoint — whose outputs start
+/// at out_begin[r] of the compact output. Callers keep one per thread and
+/// Clear() it per frame: the vectors keep their capacity, so steady-state
+/// frames allocate nothing.
+struct SparseBatch {
+  std::vector<int64_t> entry_begin{0};
+  std::vector<int32_t> entry_k;
+  std::vector<float> entry_v;
+  std::vector<int64_t> span_begin{0};
+  std::vector<tensor::ColumnSpan> spans;
+  std::vector<int64_t> out_begin{0};
+
+  int64_t rows() const { return static_cast<int64_t>(entry_begin.size()) - 1; }
+  /// Floats the compact output holds (all rows' spans, back to back).
+  int64_t output_size() const { return out_begin.back(); }
+
+  void Clear() {
+    entry_begin.assign(1, 0);
+    entry_k.clear();
+    entry_v.clear();
+    span_begin.assign(1, 0);
+    spans.clear();
+    out_begin.assign(1, 0);
+  }
+  void AddEntry(int32_t k, float v) {
+    entry_k.push_back(k);
+    entry_v.push_back(v);
+  }
+  void AddSpan(int32_t lo, int32_t hi) { spans.push_back({lo, hi}); }
+  /// Closes the current row: the entries and spans added since the last
+  /// EndRow() are its own.
+  void EndRow() {
+    int64_t width = 0;
+    for (size_t s = static_cast<size_t>(span_begin.back()); s < spans.size(); ++s) {
+      width += spans[s].hi - spans[s].lo;
+    }
+    entry_begin.push_back(static_cast<int64_t>(entry_k.size()));
+    span_begin.push_back(static_cast<int64_t>(spans.size()));
+    out_begin.push_back(out_begin.back() + width);
+  }
+};
+
 /// An immutable compiled program: Execute() runs the flattened forward.
 class InferencePlan {
  public:
@@ -93,6 +144,22 @@ class InferencePlan {
   /// Raw-buffer form: overwrites out[batch * output_dim]. Scratch slabs are
   /// thread_local, so concurrent executions never share state.
   void ExecuteInto(const float* x, int64_t batch, float* out) const;
+
+  /// Predicate-sparse form of ExecuteInto: for each row of `rows`, writes
+  /// only the outputs its spans name, back to back from out[out_begin[r]]
+  /// (out holds rows.output_size() floats). Each written value is bitwise
+  /// what ExecuteInto writes at that position for the row's dense input on
+  /// every backend and ISA tier. The first linear op reads only the listed
+  /// entries (tensor::PackedLinearEntries), the hidden ops run as in
+  /// ExecuteInto, and the last linear op computes only the spans
+  /// (tensor::PackedLinearSpans). Requires sparse_executable().
+  void ExecuteSparse(const SparseBatch& rows, float* out) const;
+
+  /// True when the program has the shape ExecuteSparse runs: two or more
+  /// ops, the first a linear op reading the whole input into a slab, the
+  /// last a linear op writing the whole output from a slab, and only slabs
+  /// in between. Every (Res)MADE and MLP plan with a hidden layer has it.
+  bool sparse_executable() const;
 
   tensor::WeightBackend backend() const { return backend_; }
   int64_t input_dim() const { return input_dim_; }

@@ -153,14 +153,15 @@ std::shared_ptr<const InferencePlan> Made::Compile(tensor::WeightBackend backend
                            /*weight_is_parameter=*/false));
 }
 
+std::shared_ptr<const InferencePlan> Made::Plan() const {
+  return GetOrCompilePlan(*plan_cache_,
+                          [this](tensor::WeightBackend backend) { return Compile(backend); });
+}
+
 Tensor Made::Forward(const Tensor& x) const {
   DUET_CHECK_EQ(x.ndim(), 2);
   DUET_CHECK_EQ(x.dim(1), input_dim_);
-  if (!tensor::NoGradGuard::GradEnabled()) {
-    const auto plan = GetOrCompilePlan(
-        *plan_cache_, [this](tensor::WeightBackend backend) { return Compile(backend); });
-    return plan->Execute(x);
-  }
+  if (!tensor::NoGradGuard::GradEnabled()) return Plan()->Execute(x);
   if (!options_.residual) {
     Tensor h = x;
     for (size_t i = 0; i < layers_.size(); ++i) {

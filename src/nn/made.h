@@ -70,6 +70,9 @@ class Made : public Module {
   /// Flattens the (Res)MADE layer walk into a packed-op program with the
   /// degree-sorted output permutation applied to every masked layer.
   std::shared_ptr<const InferencePlan> Compile(tensor::WeightBackend backend) const;
+  /// The cached plan for the current backend and parameter version
+  /// (compiled on first use); what a no-grad Forward executes.
+  std::shared_ptr<const InferencePlan> Plan() const;
   uint64_t PlanBytes() const override;
   PlanTelemetry PlanInfo() const override;
 

@@ -35,7 +35,7 @@ namespace duet::serve {
 /// exercises. Keep docs/resilience.md §6 in sync when adding a point.
 enum class FaultPoint : int {
   kNeuralForward = 0,   ///< serving dispatch: the neural estimate call throws
-  kAllocation = 1,      ///< tensor::InferenceArena buffer acquisition fails
+  kAllocation = 1,      ///< inference buffer acquisition fails (arena, plan slabs)
   kPackWeights = 2,     ///< tensor::PackWeights fails (at publish: artifact write)
   kPlanCompile = 3,     ///< nn::PlanBuilder::Finish fails (at publish: artifact write)
   kCheckpointWrite = 4, ///< core::SaveModuleFile tears the file mid-write

@@ -108,88 +108,79 @@ int64_t ServingEngine::EstimateSharded(const ZooPin& pin,
   const int64_t by_floor = std::max<int64_t>(1, n / options_.min_shard);
   const int64_t num_shards =
       std::min<int64_t>(static_cast<int64_t>(pool_.num_threads()), by_floor);
-  // Ranges whose neural estimate threw; answered by the fallback after the
-  // batch drains. The exception itself is intentionally not preserved: a
-  // degraded answer, not an error, is the contract (docs/resilience.md §2).
-  std::vector<std::pair<int64_t, int64_t>> failed;
+  // A shard whose neural estimate threw is answered by the fallback after
+  // the batch drains. The exception itself is intentionally not preserved:
+  // a degraded answer, not an error, is the contract (docs/resilience.md §2).
   if (num_shards <= 1) {
+    bool failed = false;
     try {
       FaultInjector::MaybeThrow(FaultPoint::kNeuralForward,
                                 "injected neural forward failure");
       const std::vector<double> sels = estimator.EstimateSelectivityBatch(queries);
       std::copy(sels.begin(), sels.end(), out);
     } catch (...) {
-      failed.emplace_back(0, n);
+      failed = true;
     }
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.shards;
-      stats_.neural_failures += static_cast<uint64_t>(failed.size());
+      stats_.neural_failures += failed ? 1 : 0;
     }
-    for (const auto& [lo, len] : failed) {
-      ServeFallback(queries, lo, len, out);
-      if (degraded != nullptr) std::fill(degraded + lo, degraded + lo + len, true);
+    if (failed) {
+      ServeFallback(queries, 0, n, out);
+      if (degraded != nullptr) std::fill(degraded, degraded + n, true);
     }
-    return static_cast<int64_t>(failed.size());
+    return failed ? 1 : 0;
   }
 
   // Per-call completion latch (NOT pool_.Wait(): that is a pool-wide
   // barrier, and concurrent client calls must not observe each other).
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    int64_t remaining;
-  } latch{{}, {}, num_shards};
-
+  // Each shard writes its own failure flag before it counts down, so the
+  // flags are read only after Wait() has synchronized with every shard.
+  CompletionLatch latch(num_shards);
+  std::vector<char> shard_failed(static_cast<size_t>(num_shards), 0);
   const int64_t base = n / num_shards;
   const int64_t extra = n % num_shards;  // first `extra` shards get +1
-  int64_t begin = 0;
+  auto shard_begin = [base, extra](int64_t s) { return s * base + std::min(s, extra); };
   for (int64_t s = 0; s < num_shards; ++s) {
-    const int64_t len = base + (s < extra ? 1 : 0);
-    const int64_t lo = begin;
-    begin += len;
-    pool_.Submit([&estimator, &queries, &latch, &failed, out, lo, len] {
+    const int64_t lo = shard_begin(s);
+    const int64_t hi = shard_begin(s + 1);
+    char* failed_flag = &shard_failed[static_cast<size_t>(s)];
+    pool_.Submit([&estimator, &queries, &latch, failed_flag, out, lo, hi] {
       // The catch is the resilience layer's load-bearing wall: a neural
       // failure (injected or real) must never unwind a pool worker or skip
-      // the latch decrement below — it becomes a fallback-served range.
-      bool ok = true;
+      // the count-down below — it becomes a fallback-served range.
       try {
         FaultInjector::MaybeThrow(FaultPoint::kNeuralForward,
                                   "injected neural forward failure");
-        const std::vector<query::Query> shard(queries.begin() + lo,
-                                              queries.begin() + lo + len);
+        const std::vector<query::Query> shard(queries.begin() + lo, queries.begin() + hi);
         const std::vector<double> sels = estimator.EstimateSelectivityBatch(shard);
         std::copy(sels.begin(), sels.end(), out + lo);
       } catch (...) {
-        ok = false;
+        *failed_flag = 1;
       }
-      // Notify while holding the mutex: the waiter owns the stack-allocated
-      // latch and may destroy it the moment it can observe remaining == 0,
-      // which it cannot do until this unlock. `failed` shares the latch's
-      // lifetime and lock.
-      std::lock_guard<std::mutex> lock(latch.mu);
-      if (!ok) failed.emplace_back(lo, len);
-      --latch.remaining;
-      latch.cv.notify_one();
+      latch.CountDown();
     });
   }
-  DUET_CHECK_EQ(begin, n);
-  {
-    std::unique_lock<std::mutex> lock(latch.mu);
-    latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
-  }
+  DUET_CHECK_EQ(shard_begin(num_shards), n);
+  latch.Wait();
+  int64_t failures = 0;
+  for (int64_t s = 0; s < num_shards; ++s) failures += shard_failed[static_cast<size_t>(s)];
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.shards += static_cast<uint64_t>(num_shards);
-    stats_.neural_failures += static_cast<uint64_t>(failed.size());
+    stats_.neural_failures += static_cast<uint64_t>(failures);
   }
-  // Fallback fills run on the dispatching thread, after every shard task
-  // has released the latch (no worker touches `failed` anymore).
-  for (const auto& [lo, len] : failed) {
+  // Fallback fills run on the dispatching thread, after every shard has
+  // counted down.
+  for (int64_t s = 0; s < num_shards; ++s) {
+    if (shard_failed[static_cast<size_t>(s)] == 0) continue;
+    const int64_t lo = shard_begin(s);
+    const int64_t len = shard_begin(s + 1) - lo;
     ServeFallback(queries, lo, len, out);
     if (degraded != nullptr) std::fill(degraded + lo, degraded + lo + len, true);
   }
-  return static_cast<int64_t>(failed.size());
+  return failures;
 }
 
 void ServingEngine::ServeFallback(const std::vector<query::Query>& queries, int64_t lo,

@@ -193,30 +193,7 @@ void BiasActRows(float* cp, const float* bp, int64_t b, int64_t o, Activation ac
   ParallelForChunked(
       0, b,
       [&](int64_t lo, int64_t hi) {
-        for (int64_t r = lo; r < hi; ++r) {
-          float* crow = cp + r * o;
-          switch (act) {
-            case Activation::kNone:
-#pragma omp simd
-              for (int64_t c = 0; c < o; ++c) crow[c] += bp[c];
-              break;
-            case Activation::kRelu:
-#pragma omp simd
-              for (int64_t c = 0; c < o; ++c) {
-                const float v = crow[c] + bp[c];
-                crow[c] = v > 0.0f ? v : 0.0f;
-              }
-              break;
-            case Activation::kSigmoid:
-              for (int64_t c = 0; c < o; ++c) {
-                crow[c] = 1.0f / (1.0f + std::exp(-(crow[c] + bp[c])));
-              }
-              break;
-            case Activation::kTanh:
-              for (int64_t c = 0; c < o; ++c) crow[c] = std::tanh(crow[c] + bp[c]);
-              break;
-          }
-        }
+        for (int64_t r = lo; r < hi; ++r) BiasActRow(cp + r * o, bp, o, act);
       },
       parallel, /*grain=*/8);
 }
@@ -1029,6 +1006,30 @@ void RawMatMulBiasAct(const float* a, const float* w, const float* bias, int64_t
   const bool par = GemmParallel(m, k, n);
   GemmTiled(a, w, out, m, k, n, par);
   BiasActRows(out, bias, m, n, act, par);
+}
+
+void BiasActRow(float* crow, const float* bias, int64_t o, Activation act) {
+  switch (act) {
+    case Activation::kNone:
+#pragma omp simd
+      for (int64_t c = 0; c < o; ++c) crow[c] += bias[c];
+      break;
+    case Activation::kRelu:
+#pragma omp simd
+      for (int64_t c = 0; c < o; ++c) {
+        const float v = crow[c] + bias[c];
+        crow[c] = v > 0.0f ? v : 0.0f;
+      }
+      break;
+    case Activation::kSigmoid:
+      for (int64_t c = 0; c < o; ++c) {
+        crow[c] = 1.0f / (1.0f + std::exp(-(crow[c] + bias[c])));
+      }
+      break;
+    case Activation::kTanh:
+      for (int64_t c = 0; c < o; ++c) crow[c] = std::tanh(crow[c] + bias[c]);
+      break;
+  }
 }
 
 void RawBiasAct(float* c, const float* bias, int64_t b, int64_t o, Activation act,

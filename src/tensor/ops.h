@@ -58,6 +58,11 @@ void RawMatMulBiasAct(const float* a, const float* w, const float* bias, int64_t
 void RawBiasAct(float* c, const float* bias, int64_t b, int64_t o, Activation act,
                 bool parallel);
 
+/// One row of RawBiasAct: row[0, o) = act(row + bias), the per-element
+/// expressions every epilogue runs. Callers that own their rows (the
+/// predicate-sparse kernels) call it directly.
+void BiasActRow(float* row, const float* bias, int64_t o, Activation act);
+
 /// Elementwise ops over equal shapes.
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);

@@ -24,38 +24,28 @@ inline bool PackedParallel(int64_t m, int64_t k, int64_t n) {
   return m * k * n > (1 << 18);
 }
 
-/// CSR row sweep for one input row of `a`: for k ascending, add
-/// av * W[k, :]'s nonzero runs into the output row with contiguous SIMD
-/// inner loops. Per output element the nonzero terms arrive k-ascending —
-/// the same order as the dense kernels — and the skipped terms are exact
-/// zeros, so this is bitwise-equal to the dense accumulation (a skipped
-/// +-0.0f term never changes a finite accumulator that is never -0.0).
-/// Templated over the run-bound width. For permuted packs the output row is
-/// in PACKED column space (typically one run per row); the epilogue gathers.
+/// CSR term for one input row k restricted to packed columns [p0, p1):
+/// adds av * W[k, :]'s nonzero runs, clipped to the span, into acc with
+/// contiguous SIMD inner loops. Per output element the nonzero terms arrive
+/// k-ascending — the same order as the dense kernels — and the skipped terms
+/// are exact zeros, so this is bitwise-equal to the dense accumulation (a
+/// skipped +-0.0f term never changes a finite accumulator that is never
+/// -0.0). Templated over the run-bound width. For permuted packs acc is in
+/// PACKED column space (typically one run per row); the epilogue gathers.
 template <typename Idx>
-inline void CsrRowAccumT(const simd::KernelTable& kt, const PackedWeights& w,
-                         const Idx* run_start, const Idx* run_len, const float* arow,
-                         float* crow) {
-  for (int64_t k = 0; k < w.in; ++k) {
-    const float av = arow[k];
-    if (av == 0.0f) continue;  // input sparsity: one-hot / wildcard zeros
-    const float* vals = w.values.data() + w.val_ptr[static_cast<size_t>(k)];
-    const int32_t r0 = w.row_ptr[static_cast<size_t>(k)];
-    const int32_t r1 = w.row_ptr[static_cast<size_t>(k) + 1];
-    for (int32_t r = r0; r < r1; ++r) {
-      const int64_t len = run_len[r];
-      kt.axpy_f32(av, vals, crow + run_start[r], len);
-      vals += len;
-    }
-  }
-}
-
-inline void CsrRowAccum(const simd::KernelTable& kt, const PackedWeights& w,
-                        const float* arow, float* crow) {
-  if (w.run_start32.empty()) {
-    CsrRowAccumT(kt, w, w.run_start16.data(), w.run_len16.data(), arow, crow);
-  } else {
-    CsrRowAccumT(kt, w, w.run_start32.data(), w.run_len32.data(), arow, crow);
+inline void CsrTermT(const simd::KernelTable& kt, const PackedWeights& w, const Idx* run_start,
+                     const Idx* run_len, int64_t k, float av, int64_t p0, int64_t p1,
+                     float* acc) {
+  const float* vals = w.values.data() + w.val_ptr[static_cast<size_t>(k)];
+  const int32_t r0 = w.row_ptr[static_cast<size_t>(k)];
+  const int32_t r1 = w.row_ptr[static_cast<size_t>(k) + 1];
+  for (int32_t r = r0; r < r1; ++r) {
+    const int64_t start = run_start[r];
+    const int64_t len = run_len[r];
+    const int64_t lo = std::max(start, p0);
+    const int64_t hi = std::min(start + len, p1);
+    if (lo < hi) kt.axpy_f32(av, vals + (lo - start), acc + lo, hi - lo);
+    vals += len;
   }
 }
 
@@ -68,116 +58,111 @@ inline int64_t RowPrefixLen(const PackedWeights& w, int64_t k) {
   return w.out;
 }
 
-/// Dense fp32 row sweep with the prefix skip (permuted packs) — the same
-/// k-ascending zero-skip accumulation as the dense GEMV fast path, so the
-/// gathered result is bitwise-equal to the unpermuted kernels.
-inline void DenseRowAccum(const simd::KernelTable& kt, const PackedWeights& w,
-                          const float* arow, float* crow) {
-  const float* wp = w.dense_data();
-  for (int64_t k = 0; k < w.in; ++k) {
-    const float av = arow[k];
-    if (av == 0.0f) continue;
-    kt.axpy_f32(av, wp + k * w.out, crow, RowPrefixLen(w, k));
-  }
-}
-
-/// Int8 row sweep for one input row: fp32 accumulation of av * q[k, :]. The
-/// dequantization scale is applied once per output in the epilogue, not per
-/// term, so the accumulator stays a plain fp32 dot product.
-inline void Int8RowAccum(const simd::KernelTable& kt, const PackedWeights& w,
-                         const float* arow, float* crow) {
-  for (int64_t k = 0; k < w.in; ++k) {
-    const float av = arow[k];
-    if (av == 0.0f) continue;
-    kt.axpy_i8(av, w.quantized.data() + k * w.out, crow, RowPrefixLen(w, k));
-  }
-}
-
-/// binary16 row sweep: decode-on-load (the half->float widening IS the
-/// dequantization), fp32 accumulation, same prefix skip as dense. The
-/// decode form (VCVTPH2PS on the vector tiers vs. the branchless software
-/// widening) is chosen by the dispatch table at runtime; both are exact, so
-/// the result is bitwise-identical across tiers (simd_dispatch.h).
-inline void F16RowAccum(const simd::KernelTable& kt, const PackedWeights& w,
-                        const float* arow, float* crow) {
-  for (int64_t k = 0; k < w.in; ++k) {
-    const float av = arow[k];
-    if (av == 0.0f) continue;
-    kt.axpy_f16(av, w.half.data() + k * w.out, crow, RowPrefixLen(w, k));
-  }
-}
-
-/// Int4 row sweep: nibble decode + per-group dequant fused into the sweep
-/// (the scale varies along k, so it cannot wait for the epilogue), fp32
-/// accumulation, same prefix skip as dense. Row k's scale row is the
-/// group-major slice group_scales[(k / kInt4GroupSize) * out ..].
-inline void Int4RowAccum(const simd::KernelTable& kt, const PackedWeights& w,
-                         const float* arow, float* crow) {
-  const int64_t row_bytes = (w.out + 1) / 2;
-  for (int64_t k = 0; k < w.in; ++k) {
-    const float av = arow[k];
-    if (av == 0.0f) continue;
-    const uint8_t* nrow = w.nibbles.data() + k * row_bytes;
-    const float* gs = w.group_scales.data() + (k / kInt4GroupSize) * w.out;
-    kt.axpy_i4(av, nrow, gs, crow, RowPrefixLen(w, k));
-  }
-}
-
-/// Packed-space row accumulation for every non-dense-identity layout.
-inline void PackedRowAccum(const simd::KernelTable& kt, const PackedWeights& w,
-                           const float* arow, float* crow) {
-  switch (w.backend) {
-    case WeightBackend::kDenseF32:
-      DenseRowAccum(kt, w, arow, crow);
-      break;
-    case WeightBackend::kCsrF32:
-      CsrRowAccum(kt, w, arow, crow);
-      break;
-    case WeightBackend::kInt8:
-      Int8RowAccum(kt, w, arow, crow);
-      break;
-    case WeightBackend::kF16:
-      F16RowAccum(kt, w, arow, crow);
-      break;
-    case WeightBackend::kInt4:
-      Int4RowAccum(kt, w, arow, crow);
-      break;
-  }
-}
-
-/// Fused bias + activation epilogue over [B, O] rows in place (identity
-/// layout); the expressions match RawBiasAct / MatMulBiasAct's epilogue
-/// exactly so the CSR path stays bitwise-equal to dense. `scales` (int8
-/// only) folds the per-channel dequantization into the same pass:
-/// y = act(acc * scale + bias).
-void BiasActEpilogue(float* c, int64_t b, int64_t o, const float* bias, const float* scales,
-                     Activation act, bool parallel) {
-  if (scales == nullptr) {
-    RawBiasAct(c, bias, b, o, act, parallel);
+/// The one step every row sweep is made of: acc[p] += av * W[k, p] for the
+/// packed columns p in [p0, p1) where row k can be nonzero. Full-row sweeps
+/// pass [0, out); the predicate-sparse output kernel passes its active runs.
+/// Either way each element sees the same term through the same axpy, so a
+/// span's results are bitwise what the full sweep leaves there.
+///  * dense fp32: the k-ascending zero-skip accumulation of the dense GEMV;
+///  * int8: fp32 accumulation of av * q[k, p]; the dequantization scale is
+///    applied once per output in the epilogue, not per term;
+///  * f16: decode-on-load (the half->float widening IS the dequantization;
+///    both dispatch forms are exact, see simd_dispatch.h);
+///  * int4: nibble decode + per-group dequant fused into the sweep (the scale
+///    varies along k, so it cannot wait for the epilogue). A span that
+///    starts at an odd packed column starts one column early, because a
+///    byte holds an (even, odd) column pair; that extra column lies outside
+///    the span, and callers never read it.
+/// Dense/int8/f16/int4 rows end at their nonzero prefix (permuted packs).
+inline void RowTerm(const simd::KernelTable& kt, const PackedWeights& w, int64_t k, float av,
+                    int64_t p0, int64_t p1, float* acc) {
+  if (w.backend == WeightBackend::kCsrF32) {
+    if (w.run_start32.empty()) {
+      CsrTermT(kt, w, w.run_start16.data(), w.run_len16.data(), k, av, p0, p1, acc);
+    } else {
+      CsrTermT(kt, w, w.run_start32.data(), w.run_len32.data(), k, av, p0, p1, acc);
+    }
     return;
   }
+  p1 = std::min(p1, RowPrefixLen(w, k));
+  if (p1 <= p0) return;
+  const int64_t row = k * w.out;
+  switch (w.backend) {
+    case WeightBackend::kDenseF32:
+      kt.axpy_f32(av, w.dense_data() + row + p0, acc + p0, p1 - p0);
+      break;
+    case WeightBackend::kInt8:
+      kt.axpy_i8(av, w.quantized.data() + row + p0, acc + p0, p1 - p0);
+      break;
+    case WeightBackend::kF16:
+      kt.axpy_f16(av, w.half.data() + row + p0, acc + p0, p1 - p0);
+      break;
+    case WeightBackend::kInt4: {
+      p0 &= ~int64_t{1};
+      const uint8_t* nrow = w.nibbles.data() + k * ((w.out + 1) / 2);
+      const float* gs = w.group_scales.data() + (k / kInt4GroupSize) * w.out;
+      kt.axpy_i4(av, nrow + p0 / 2, gs + p0, acc + p0, p1 - p0);
+      break;
+    }
+    case WeightBackend::kCsrF32:
+      break;
+  }
+}
+
+/// Packed-space row accumulation of one dense input row for every
+/// non-dense-identity layout: one full-width term per nonzero input.
+inline void PackedRowAccum(const simd::KernelTable& kt, const PackedWeights& w,
+                           const float* arow, float* crow) {
+  for (int64_t k = 0; k < w.in; ++k) {
+    const float av = arow[k];
+    if (av == 0.0f) continue;  // input sparsity: one-hot / wildcard zeros
+    RowTerm(kt, w, k, av, 0, w.out, crow);
+  }
+}
+
+/// Per-thread packed-space accumulator row of at least n floats.
+inline float* AccScratch(int64_t n) {
+  thread_local std::vector<float> acc;
+  if (static_cast<int64_t>(acc.size()) < n) acc.resize(static_cast<size_t>(n));
+  return acc.data();
+}
+
+/// Fused bias + activation epilogue over one output row in place (identity
+/// layout); the expressions are BiasActRow's — MatMulBiasAct's epilogue —
+/// so the CSR path stays bitwise-equal to dense. `scales` (int8 only) folds
+/// the per-channel dequantization into the same pass:
+/// y = act(acc * scale + bias).
+void EpilogueRow(float* crow, int64_t o, const float* bias, const float* scales,
+                 Activation act) {
+  if (scales == nullptr) {
+    BiasActRow(crow, bias, o, act);
+    return;
+  }
+#pragma omp simd
+  for (int64_t j = 0; j < o; ++j) crow[j] = crow[j] * scales[j] + bias[j];
+  switch (act) {
+    case Activation::kNone:
+      break;
+    case Activation::kRelu:
+#pragma omp simd
+      for (int64_t j = 0; j < o; ++j) crow[j] = crow[j] > 0.0f ? crow[j] : 0.0f;
+      break;
+    case Activation::kSigmoid:
+      for (int64_t j = 0; j < o; ++j) crow[j] = 1.0f / (1.0f + std::exp(-crow[j]));
+      break;
+    case Activation::kTanh:
+      for (int64_t j = 0; j < o; ++j) crow[j] = std::tanh(crow[j]);
+      break;
+  }
+}
+
+/// EpilogueRow over [B, O] rows.
+void BiasActEpilogue(float* c, int64_t b, int64_t o, const float* bias, const float* scales,
+                     Activation act, bool parallel) {
   ParallelForChunked(
       0, b,
       [&](int64_t lo, int64_t hi) {
-        for (int64_t r = lo; r < hi; ++r) {
-          float* crow = c + r * o;
-#pragma omp simd
-          for (int64_t j = 0; j < o; ++j) crow[j] = crow[j] * scales[j] + bias[j];
-          switch (act) {
-            case Activation::kNone:
-              break;
-            case Activation::kRelu:
-#pragma omp simd
-              for (int64_t j = 0; j < o; ++j) crow[j] = crow[j] > 0.0f ? crow[j] : 0.0f;
-              break;
-            case Activation::kSigmoid:
-              for (int64_t j = 0; j < o; ++j) crow[j] = 1.0f / (1.0f + std::exp(-crow[j]));
-              break;
-            case Activation::kTanh:
-              for (int64_t j = 0; j < o; ++j) crow[j] = std::tanh(crow[j]);
-              break;
-          }
-        }
+        for (int64_t r = lo; r < hi; ++r) EpilogueRow(c + r * o, o, bias, scales, act);
       },
       parallel, /*grain=*/8);
 }
@@ -197,6 +182,32 @@ inline void GatherRow(const PackedWeights& w, const float* acc, float* dst) {
     for (int64_t j = 0; j < w.out; ++j) dst[j] = acc[unperm[j]];
   }
 }
+
+/// Packed position of ORIGINAL output column j (identity for unpermuted
+/// packs).
+inline int64_t PackedColumn(const PackedWeights& w, int64_t j) {
+  if (!w.unperm16.empty()) return w.unperm16[static_cast<size_t>(j)];
+  if (!w.unperm32.empty()) return w.unperm32[static_cast<size_t>(j)];
+  return j;
+}
+
+/// The int8 epilogue's per-channel dequantization scales (null otherwise).
+inline const float* EpilogueScales(const PackedWeights& w) {
+  return w.backend == WeightBackend::kInt8 ? w.scales.data() : nullptr;
+}
+
+/// PackedLinearSpans' crossover rule: each span is charged this many
+/// columns on top of its length (the per-(k, run) axpy call, its clip and
+/// its vector tail), and when the charge reaches the full row width the
+/// kernel sweeps the full row instead. Both choices compute
+/// bitwise-identical outputs; the rule only picks the cheaper loop.
+constexpr int64_t kRunChargeColumns = 64;
+
+/// A half-open run [lo, hi) of packed columns.
+struct PackedRun {
+  int64_t lo;
+  int64_t hi;
+};
 
 }  // namespace
 
@@ -513,9 +524,7 @@ void PackedLinearForward(const PackedWeights& w, const float* x, int64_t batch,
           }
         },
         parallel, /*grain=*/8);
-    BiasActEpilogue(out, batch, w.out, bias,
-                    w.backend == WeightBackend::kInt8 ? w.scales.data() : nullptr, act,
-                    parallel);
+    BiasActEpilogue(out, batch, w.out, bias, EpilogueScales(w), act, parallel);
     return;
   }
   // Permuted pack: accumulate each row into a per-thread packed-space
@@ -528,20 +537,96 @@ void PackedLinearForward(const PackedWeights& w, const float* x, int64_t batch,
   ParallelForChunked(
       0, batch,
       [&](int64_t lo, int64_t hi) {
-        thread_local std::vector<float> acc;
-        if (static_cast<int64_t>(acc.size()) < w.out) {
-          acc.resize(static_cast<size_t>(w.out));
-        }
+        float* acc = AccScratch(w.out);
         for (int64_t r = lo; r < hi; ++r) {
-          std::fill(acc.begin(), acc.begin() + w.out, 0.0f);
-          PackedRowAccum(kt, w, x + r * w.in, acc.data());
-          GatherRow(w, acc.data(), out + r * w.out);
+          std::fill(acc, acc + w.out, 0.0f);
+          PackedRowAccum(kt, w, x + r * w.in, acc);
+          GatherRow(w, acc, out + r * w.out);
         }
       },
       parallel, /*grain=*/8);
-  BiasActEpilogue(out, batch, w.out, bias,
-                  w.backend == WeightBackend::kInt8 ? w.scales.data() : nullptr, act,
-                  parallel);
+  BiasActEpilogue(out, batch, w.out, bias, EpilogueScales(w), act, parallel);
+}
+
+void PackedLinearEntries(const PackedWeights& w, const int32_t* k, const float* v, int64_t n,
+                         const float* bias, Activation act, float* out) {
+  const simd::KernelTable& kt = simd::Kernels();
+  float* acc = w.permuted() ? AccScratch(w.out) : out;
+  std::fill(acc, acc + w.out, 0.0f);
+  for (int64_t e = 0; e < n; ++e) {
+    DUET_CHECK(k[e] >= 0 && k[e] < w.in) << "input entry " << k[e] << " outside " << w.in;
+    RowTerm(kt, w, k[e], v[e], 0, w.out, acc);
+  }
+  if (w.permuted()) GatherRow(w, acc, out);
+  EpilogueRow(out, w.out, bias, EpilogueScales(w), act);
+}
+
+void PackedLinearSpans(const PackedWeights& w, const float* x, const ColumnSpan* spans,
+                       int64_t n, const float* bias, Activation act, float* out) {
+  int64_t active = 0;
+  for (int64_t s = 0; s < n; ++s) {
+    DUET_CHECK(spans[s].lo >= 0 && spans[s].lo < spans[s].hi && spans[s].hi <= w.out)
+        << "output span [" << spans[s].lo << ", " << spans[s].hi << ") outside " << w.out;
+    active += spans[s].hi - spans[s].lo;
+  }
+  // The crossover rule: every span costs at least one run, so when the
+  // spans' charge reaches the row width, sweep the full row instead.
+  thread_local std::vector<PackedRun> runs;
+  runs.clear();
+  if (active + kRunChargeColumns * n >= w.out) {
+    runs.push_back({0, w.out});
+  } else {
+    // The spans' packed columns as merged runs: under the degree-sorted
+    // permutation each MADE output block is one run, and neighbouring
+    // blocks fuse.
+    for (int64_t s = 0; s < n; ++s) {
+      for (int64_t j = spans[s].lo; j < spans[s].hi; ++j) {
+        const int64_t p = PackedColumn(w, j);
+        if (!runs.empty() && runs.back().hi == p) {
+          ++runs.back().hi;
+        } else {
+          runs.push_back({p, p + 1});
+        }
+      }
+    }
+    std::sort(runs.begin(), runs.end(),
+              [](const PackedRun& a, const PackedRun& b) { return a.lo < b.lo; });
+    size_t merged = 0;
+    for (const PackedRun& run : runs) {
+      DUET_CHECK(merged == 0 || runs[merged - 1].hi <= run.lo) << "output spans overlap";
+      if (merged > 0 && runs[merged - 1].hi == run.lo) {
+        runs[merged - 1].hi = run.hi;
+      } else {
+        runs[merged++] = run;
+      }
+    }
+    runs.resize(merged);
+  }
+
+  // One k pass over the runs: per element the same k-ascending terms as the
+  // full sweep. The fill starts at an even column because an int4 run may
+  // start one column early (RowTerm).
+  const simd::KernelTable& kt = simd::Kernels();
+  float* acc = AccScratch(w.out);
+  for (const PackedRun& run : runs) {
+    std::fill(acc + (run.lo & ~int64_t{1}), acc + run.hi, 0.0f);
+  }
+  for (int64_t k = 0; k < w.in; ++k) {
+    const float av = x[k];
+    if (av == 0.0f) continue;
+    for (const PackedRun& run : runs) RowTerm(kt, w, k, av, run.lo, run.hi, acc);
+  }
+
+  // Gather each span back into original column order and run the shared
+  // epilogue over it with the span's slice of bias (and int8 scales).
+  const float* scales = EpilogueScales(w);
+  for (int64_t s = 0; s < n; ++s) {
+    const ColumnSpan span = spans[s];
+    const int64_t len = span.hi - span.lo;
+    for (int64_t i = 0; i < len; ++i) out[i] = acc[PackedColumn(w, span.lo + i)];
+    EpilogueRow(out, len, bias + span.lo, scales != nullptr ? scales + span.lo : nullptr, act);
+    out += len;
+  }
 }
 
 }  // namespace duet::tensor

@@ -312,6 +312,34 @@ std::vector<int32_t> DegreeSortPermutation(const Tensor& w);
 void PackedLinearForward(const PackedWeights& w, const float* x, int64_t batch,
                          const float* bias, Activation act, float* out);
 
+/// Half-open range [lo, hi) of output columns, in ORIGINAL column order.
+struct ColumnSpan {
+  int32_t lo = 0;
+  int32_t hi = 0;
+};
+
+/// Predicate-sparse row kernels (the first and last ops of
+/// nn::InferencePlan::ExecuteSparse). For every output they write, they
+/// write bitwise what PackedLinearForward writes there, on every backend and
+/// ISA tier: per output element the same k-ascending terms through the same
+/// axpy sweep over the same packed row, then the same gather and the same
+/// epilogue expression. Single-threaded and allocation-free in steady state
+/// (per-thread scratch); inference-only.
+
+/// One input row given as its nonzero entries (k strictly ascending, each
+/// in [0, w.in)) -> the full output row out[0, w.out) = act(x W + bias).
+/// Costs one row term per entry: no scan over the input's zeros.
+void PackedLinearEntries(const PackedWeights& w, const int32_t* k, const float* v, int64_t n,
+                         const float* bias, Activation act, float* out);
+
+/// One dense input row x[0, w.in) -> only the output columns in `spans`
+/// (disjoint, each within [0, w.out)), written back to back into `out` in
+/// span order. The spans' packed columns are merged into runs and swept in
+/// one k pass; a row whose runs would cost about as much as the full row
+/// sweeps the full row instead (a fixed rule; both give the same bits).
+void PackedLinearSpans(const PackedWeights& w, const float* x, const ColumnSpan* spans,
+                       int64_t n, const float* bias, Activation act, float* out);
+
 /// Single-row packed kernel: y[0..out) += x[0..in) x W_packed, with x rows
 /// skipped at x[k] == 0 (Duet inputs are one-hot-sparse). No bias, no
 /// activation, no int8 channel dequantization — the caller applies the

@@ -103,7 +103,10 @@ TEST(BatchApiTest, DuetSteadyStateBatchedForwardAllocatesNothing) {
   const tensor::InferenceArena::Stats stats = tensor::InferenceArena::stats();
   EXPECT_EQ(stats.fresh_allocs, 0u)
       << "steady-state batched forward must not allocate activation buffers";
-  EXPECT_GT(stats.reuses, 0u);
+  // The predicate-sparse estimate keeps its rows, slabs and logits in
+  // per-thread scratch: it draws no tensor from the arena at all
+  // (tests/test_plan.cc counts its heap allocations).
+  EXPECT_EQ(stats.reuses, 0u);
   tensor::InferenceArena::Clear();
 }
 

@@ -363,6 +363,17 @@ TEST(FlagsDeathTest, UnknownFlagExitsNamingIt) {
   EXPECT_DEATH(flags.GetInt("queries", 0), "--queries is read but not declared");
 }
 
+TEST(FlagsDeathTest, MalformedNumberExitsNamingIt) {
+  // A numeric flag must parse whole: no uncaught exception, no silent prefix.
+  const char* argv[] = {"prog", "--models=abc", "--rows=12abc", "--lr=0.5x", "--n=", "--big=1e999"};
+  const Flags flags(6, const_cast<char**>(argv), {"models", "rows", "lr", "n", "big"});
+  EXPECT_EXIT(flags.GetInt("models", 0), ::testing::ExitedWithCode(2), "malformed --models=abc");
+  EXPECT_EXIT(flags.GetInt("rows", 0), ::testing::ExitedWithCode(2), "malformed --rows=12abc");
+  EXPECT_EXIT(flags.GetDouble("lr", 0.0), ::testing::ExitedWithCode(2), "malformed --lr=0.5x");
+  EXPECT_EXIT(flags.GetInt("n", 0), ::testing::ExitedWithCode(2), "malformed --n=");
+  EXPECT_EXIT(flags.GetDouble("big", 0.0), ::testing::ExitedWithCode(2), "malformed --big=1e999");
+}
+
 }  // namespace
 }  // namespace duet
 

@@ -13,13 +13,26 @@
 //    version bumps and backend switches recompile, hits are counted);
 //  * a backend switch racing concurrent forwards can never produce a torn
 //    view: every planned forward matches exactly one backend's reference;
-//  * FloatToHalf/HalfToFloat implement IEEE binary16 round-to-nearest-even.
+//  * FloatToHalf/HalfToFloat implement IEEE binary16 round-to-nearest-even;
+//  * the predicate-sparse Duet estimate (core::EstimateSelectivities over
+//    InferencePlan::ExecuteSparse) answers bitwise like the dense forward on
+//    every backend, for in-memory and artifact-loaded models, and its heap
+//    allocations do not grow with the frame.
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "core/duet_model.h"
 #include "data/generator.h"
 #include "gtest/gtest.h"
@@ -29,6 +42,29 @@
 #include "query/workload.h"
 #include "tensor/packed_weights.h"
 #include "tensor/tensor.h"
+
+// Heap allocations counted while g_count_allocs is set (the allocation
+// test below). Every form maps onto malloc/free, so sanitizer runtimes see
+// matched pairs.
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<uint64_t> g_allocs{0};
+
+void* CountedAlloc(std::size_t n) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n); }
+void* operator new[](std::size_t n) { return CountedAlloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace duet {
 namespace {
@@ -427,6 +463,212 @@ TEST(F16BackendTest, MedianQErrorWithinOnePercentOfDense) {
   const double dense = median_qerr(WeightBackend::kDenseF32);
   const double f16 = median_qerr(WeightBackend::kF16);
   EXPECT_NEAR(f16, dense, 0.01 * dense) << "f16 median q-error drifted >1% from fp32";
+}
+
+// ----- predicate-sparse estimates ------------------------------------------
+
+/// Random query over `t` of one of the shapes the sparse path must get
+/// right: all-wildcard, one column, every column, two-sided ranges (two
+/// predicates on a column), a contradictory range, and a random mix with
+/// equality on values the column may not hold.
+query::Query RandomMaskQuery(const data::Table& t, Rng& rng) {
+  query::Query q;
+  const int cols = t.num_columns();
+  auto value = [&](int c) {
+    const data::Column& col = t.column(c);
+    return col.Value(static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(col.ndv()))));
+  };
+  auto one = [&](int c) {
+    const auto op = static_cast<query::PredOp>(rng.UniformInt(query::kNumPredOps));
+    q.predicates.push_back({c, op, value(c)});
+  };
+  auto two_sided = [&](int c) {
+    const double a = value(c), b = value(c);
+    q.predicates.push_back({c, query::PredOp::kGe, std::min(a, b)});
+    q.predicates.push_back({c, query::PredOp::kLe, std::max(a, b)});
+  };
+  switch (rng.UniformInt(6)) {
+    case 0:  // all-wildcard
+      break;
+    case 1:
+      one(static_cast<int>(rng.UniformInt(static_cast<uint64_t>(cols))));
+      break;
+    case 2:
+      for (int c = cols - 1; c >= 0; --c) one(c);  // unsorted on purpose
+      break;
+    case 3:
+      for (int c = 0; c < cols; ++c) {
+        if (rng.UniformFloat() < 0.2f) two_sided(c);
+      }
+      break;
+    case 4: {  // contradictory: x > max and x < min on one column
+      const int c = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(cols)));
+      const data::Column& col = t.column(c);
+      q.predicates.push_back({c, query::PredOp::kGt, col.Value(col.ndv() - 1)});
+      q.predicates.push_back({c, query::PredOp::kLt, col.Value(0)});
+      one(static_cast<int>(rng.UniformInt(static_cast<uint64_t>(cols))));
+      break;
+    }
+    default:
+      for (int c = 0; c < cols; ++c) {
+        if (rng.UniformFloat() < 0.1f) one(c);
+      }
+      if (rng.UniformFloat() < 0.5f) {
+        const int c = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(cols)));
+        q.predicates.push_back({c, query::PredOp::kEq, value(c) + 0.5});
+      }
+      break;
+  }
+  return q;
+}
+
+/// The dense oracle: EncodeQueryRow into a dense frame, the plan's dense
+/// ExecuteInto, then MaskedLogSelectivity over the full logits rows.
+std::vector<double> DenseEstimates(const data::Table& t, const core::DuetInputEncoder& encoder,
+                                   const std::vector<tensor::BlockSpec>& blocks,
+                                   const nn::InferencePlan& plan,
+                                   const std::vector<query::Query>& queries) {
+  tensor::NoGradScope no_grad;
+  const int64_t n = static_cast<int64_t>(queries.size());
+  const int64_t d = encoder.total_width();
+  const int64_t o = plan.output_dim();
+  std::vector<float> x(static_cast<size_t>(n * d), 0.0f);
+  std::vector<float> logits(static_cast<size_t>(n * o));
+  for (int64_t r = 0; r < n; ++r) {
+    encoder.EncodeQueryRow(t, queries[static_cast<size_t>(r)], x.data() + r * d);
+  }
+  plan.ExecuteInto(x.data(), n, logits.data());
+  std::vector<double> sels(static_cast<size_t>(n));
+  for (int64_t r = 0; r < n; ++r) {
+    const query::Query& q = queries[static_cast<size_t>(r)];
+    double log_sel = 0.0;
+    const bool ok = core::MaskedLogSelectivity(logits.data() + r * o, blocks,
+                                               q.PerColumnRanges(t), t.num_columns(), &log_sel);
+    sels[static_cast<size_t>(r)] = ok ? std::exp(log_sel) : 0.0;
+  }
+  return sels;
+}
+
+std::vector<tensor::BlockSpec> NdvBlocks(const data::Table& t) {
+  std::vector<tensor::BlockSpec> blocks;
+  int64_t offset = 0;
+  for (int c = 0; c < t.num_columns(); ++c) {
+    blocks.push_back({offset, t.column(c).ndv()});
+    offset += t.column(c).ndv();
+  }
+  return blocks;
+}
+
+/// Bitwise comparison that names the first differing query.
+void ExpectSameBits(const std::vector<double>& got, const std::vector<double>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+        << what << ": query " << i << " sparse " << got[i] << " dense " << want[i];
+  }
+}
+
+struct SparseCase {
+  const char* name;
+  bool kdd;
+};
+
+class SparseEstimateTest
+    : public ::testing::TestWithParam<std::tuple<SparseCase, WeightBackend>> {};
+
+TEST_P(SparseEstimateTest, SelectiveEqualsDenseBitwise) {
+  const SparseCase c = std::get<0>(GetParam());
+  const WeightBackend backend = std::get<1>(GetParam());
+  const data::Table t = c.kdd ? data::KddLike(400, 100, 5) : data::CensusLike(400, 5);
+  core::DuetModelOptions opt;
+  opt.hidden_sizes = {32, 32};
+  opt.residual = c.kdd;  // both MADE program shapes: ResMADE and plain
+  core::DuetModel model(t, opt);
+  model.SetInferenceBackend(backend);
+
+  const std::string path = "/tmp/duet_plan_" + std::to_string(::getpid()) + "_" + c.name +
+                           "_" + tensor::WeightBackendName(backend) + ".duet";
+  ASSERT_TRUE(artifact::WriteArtifact(path, model, backend).ok);
+  std::shared_ptr<const artifact::ArtifactModel> loaded;
+  const artifact::ArtifactStatus st = artifact::LoadArtifact(path, {}, &loaded);
+  std::remove(path.c_str());
+  ASSERT_TRUE(st.ok) << st.error;
+  const core::DuetInputEncoder loaded_encoder(loaded->table(), loaded->encoding());
+
+  Rng rng(31);
+  for (int64_t batch : {1, 7, 64, 129}) {
+    std::vector<query::Query> queries;
+    for (int64_t i = 0; i < batch; ++i) queries.push_back(RandomMaskQuery(t, rng));
+    const std::string tag = std::string(c.name) + "/" + tensor::WeightBackendName(backend) +
+                            " batch " + std::to_string(batch);
+    const std::vector<double> want = DenseEstimates(
+        t, model.encoder(), model.made().output_blocks(), *model.made().Plan(), queries);
+    if (batch >= 64) {  // the frame mixes all three outcomes
+      auto between = [](double v) { return v > 0.0 && v < 1.0; };
+      EXPECT_GT(std::count(want.begin(), want.end(), 0.0), 0) << tag;
+      EXPECT_GT(std::count(want.begin(), want.end(), 1.0), 0) << tag;
+      EXPECT_GT(std::count_if(want.begin(), want.end(), between), 0) << tag;
+    }
+    ExpectSameBits(model.EstimateSelectivityBatch(queries), want, "DuetModel " + tag);
+    ExpectSameBits(DenseEstimates(loaded->table(), loaded_encoder, NdvBlocks(loaded->table()),
+                                  loaded->plan(), queries),
+                   want, "artifact dense oracle " + tag);
+    ExpectSameBits(loaded->EstimateSelectivityBatch(queries), want, "ArtifactModel " + tag);
+    const double single = model.EstimateSelectivity(queries.back());
+    ExpectSameBits({single}, {want.back()}, "DuetModel single " + tag);
+    ExpectSameBits({loaded->EstimateSelectivity(queries.back())}, {want.back()},
+                   "ArtifactModel single " + tag);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TablesAndBackends, SparseEstimateTest,
+    ::testing::Combine(::testing::Values(SparseCase{"Kdd100", true},
+                                         SparseCase{"Census", false}),
+                       ::testing::Values(WeightBackend::kDenseF32, WeightBackend::kCsrF32,
+                                         WeightBackend::kInt8, WeightBackend::kF16,
+                                         WeightBackend::kInt4)),
+    [](const ::testing::TestParamInfo<std::tuple<SparseCase, WeightBackend>>& info) {
+      return std::string(std::get<0>(info.param).name) + "_" +
+             tensor::WeightBackendName(std::get<1>(info.param));
+    });
+
+/// Heap allocations of one EstimateSelectivityBatch call.
+template <typename Model>
+uint64_t CountAllocs(const Model& model, const std::vector<query::Query>& queries) {
+  g_allocs.store(0);
+  g_count_allocs.store(true);
+  const std::vector<double> sels = model.EstimateSelectivityBatch(queries);
+  g_count_allocs.store(false);
+  EXPECT_EQ(sels.size(), queries.size());
+  return g_allocs.load();
+}
+
+TEST(SparseEstimateAllocTest, HeapAllocationsDoNotGrowWithTheFrame) {
+  // 8 and 32 queries both stay below every parallel threshold for this
+  // model, so any difference in the counts is per-query allocation.
+  const data::Table t = data::KddLike(400, 100, 9);
+  core::DuetModelOptions opt;
+  opt.hidden_sizes = {32, 32};
+  opt.residual = true;
+  core::DuetModel model(t, opt);
+  const std::string path = "/tmp/duet_plan_" + std::to_string(::getpid()) + "_alloc.duet";
+  ASSERT_TRUE(artifact::WriteArtifact(path, model, WeightBackend::kDenseF32).ok);
+  std::shared_ptr<const artifact::ArtifactModel> loaded;
+  ASSERT_TRUE(artifact::LoadArtifact(path, {}, &loaded).ok);
+  std::remove(path.c_str());
+
+  Rng rng(12);
+  std::vector<query::Query> small, large;
+  for (int i = 0; i < 8; ++i) small.push_back(RandomMaskQuery(t, rng));
+  for (int i = 0; i < 32; ++i) large.push_back(RandomMaskQuery(t, rng));
+  for (const std::vector<query::Query>* frame : {&small, &large}) {
+    model.EstimateSelectivityBatch(*frame);  // grows the per-thread scratch
+    loaded->EstimateSelectivityBatch(*frame);
+  }
+  EXPECT_EQ(CountAllocs(model, small), CountAllocs(model, large)) << "DuetModel";
+  EXPECT_EQ(CountAllocs(*loaded, small), CountAllocs(*loaded, large)) << "ArtifactModel";
 }
 
 }  // namespace
